@@ -2,9 +2,12 @@
 
 The engine is synchronous: every slate and every feedback draw in a step is
 computed against the state snapshot at the start of the step, and the updated
-matrix is written in a single pass afterwards. Randomness is counter-split
-per (step, user), so results are identical whether users are processed
-serially or in parallel.
+matrix is written in a single pass afterwards. Users go through the softmax
+and the sampling race in blocks of about ``BLOCK_ENTRIES // m`` users, so a
+step holds O(block * m) floats, never O(n * m); feedback and the update are
+array work over the whole step. Randomness is counter-split per (step, user)
+and each user's stream is drawn in the same order whatever the block, so
+results are identical however the users are blocked.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .errors import InvalidRequest, NumericalError
 from .metrics import MetricSettings, MetricsRecord, compute_metrics_record
 
 FEEDBACK_DOT_CLAMP = 1.0 - 1e-9
+BLOCK_ENTRIES = 1 << 19     # entries of one (m, block) array in simulate_step
 
 
 class StreamSplitter:
@@ -70,20 +74,18 @@ def recommendation_distribution(s: np.ndarray, catalog: ItemCatalog,
         raise InvalidRequest("alpha must be >= 0")
     with np.errstate(invalid="ignore"):
         scores = alpha * (catalog.item_vectors.T @ np.asarray(s, dtype=float))
-    if not np.all(np.isfinite(scores)):
-        raise NumericalError("non-finite recommendation scores")
     return _softmax(scores)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=0, keepdims=True) if scores.ndim > 1 \
-        else scores - scores.max()
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True) if scores.ndim > 1 else e / e.sum()
+    """Softmax over axis 0: of a vector, or of each column of a matrix."""
+    if not np.isfinite(scores).all():
+        raise NumericalError("non-finite recommendation scores")
+    e = np.exp(scores - scores.max(axis=0, keepdims=True))
+    return e / e.sum(axis=0, keepdims=True)
 
 
-def sample_without_replacement(p: np.ndarray, h: int,
-                               rng: np.random.Generator) -> np.ndarray:
+def sample_without_replacement(p: np.ndarray, h: int, rng) -> np.ndarray:
     """Draw h distinct indices with sequential draw-and-renormalize semantics.
 
     Implemented as an exponential race: item j gets key E_j / p_j and the h
@@ -92,12 +94,22 @@ def sample_without_replacement(p: np.ndarray, h: int,
     have positive probability, the shortfall is padded uniformly from the
     zero-probability items (callers can detect this case by counting
     positive entries).
+
+    A 2-D ``p`` holds one distribution per row and ``rng`` is then a
+    sequence of one generator per row; row r of the (rows, h) result, and
+    the draws it takes from ``rng[r]``, are those of the 1-D call on ``p[r]``.
     """
     p = np.asarray(p, dtype=float)
-    m = p.size
+    m = p.shape[-1]
     if h > m:
         raise InvalidRequest(f"cannot draw {h} distinct items from {m}")
-    keys = rng.exponential(size=m)
+    if p.ndim == 2:
+        return np.array([_race(row, h, g) for row, g in zip(p, rng)])
+    return _race(p, h, rng)
+
+
+def _race(p: np.ndarray, h: int, rng: np.random.Generator) -> np.ndarray:
+    keys = rng.exponential(size=p.size)
     with np.errstate(divide="ignore"):
         keys = keys / p
     positive = p > 0
@@ -128,7 +140,9 @@ def feedback_probabilities(u: np.ndarray, v: np.ndarray, beta: float,
 
 def _feedback_pair(dots: np.ndarray, beta: float, epsilon: float,
                    clamp: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    d = np.clip(dots, -FEEDBACK_DOT_CLAMP, FEEDBACK_DOT_CLAMP)
+    # np.minimum/np.maximum, not np.clip: same values, and np.clip's Python
+    # wrapper costs more than the arithmetic on the few dots of a small step.
+    d = np.minimum(np.maximum(dots, -FEEDBACK_DOT_CLAMP), FEEDBACK_DOT_CLAMP)
     # p_pos = (1+d)^b / ((1+d)^b + (1-d)^b) computed as 1/(1+r) with
     # r = ((1-d)/(1+d))^b; the ratio form cannot produce inf/inf.
     with np.errstate(over="ignore"):
@@ -138,8 +152,8 @@ def _feedback_pair(dots: np.ndarray, beta: float, epsilon: float,
     p_neg = (1.0 - base) - epsilon / 2.0
     if not clamp:
         return p_pos, p_neg
-    p_pos = np.clip(p_pos, 0.0, 1.0)
-    p_neg = np.clip(p_neg, 0.0, 1.0)
+    p_pos = np.minimum(np.maximum(p_pos, 0.0), 1.0)
+    p_neg = np.minimum(np.maximum(p_neg, 0.0), 1.0)
     total = p_pos + p_neg
     return p_pos / total, p_neg / total
 
@@ -193,6 +207,7 @@ class StepLog:
     slate_items: np.ndarray        # (n, h) int
     signs: np.ndarray              # (n, h) int8
     p_pos: np.ndarray              # (n, h) float
+    padded: np.ndarray             # (n,) bool, the slates' padded flags
 
     @property
     def feedback(self) -> list[list[FeedbackRecord]]:
@@ -210,6 +225,8 @@ class StrategyHooks:
 
     ``candidate_count`` widens the sampled pool (for re-ranking hooks);
     every other hook returns None to fall through to the default behavior.
+    ``rerank`` is called once per user; ``update_weights`` once per step,
+    on the (n, h) sign matrix, and must return weights of that shape.
     Hooks must be pure given the state snapshot handed to ``begin_step``.
     """
 
@@ -250,16 +267,17 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
 
     All slates and feedback are computed against U(t); U(t+1) is assembled
     only after every user is processed. The provided ``rng`` is a master seed
-    or StreamSplitter; each user consumes exactly one (step, user) stream.
+    or StreamSplitter; each user consumes exactly one (step, user) stream:
+    the race's exponentials, the pad choice of a padded slate, then the h
+    feedback uniforms.
     """
     splitter = _as_splitter(rng)
     hooks = hooks if hooks is not None else StrategyHooks()
     U = states.user_matrix
-    c, n = U.shape
-    m, h = catalog.m, params.h
+    V = catalog.item_vectors
+    n, m, h = U.shape[1], catalog.m, params.h
     if h > m:
         raise InvalidRequest(f"list length h={h} exceeds item count m={m}")
-    t = states.t
 
     hooks.begin_step(U, catalog, graph, params)
 
@@ -271,11 +289,6 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     if social is None:
         social = _social_matrix(U, graph, params.gamma)
 
-    logits = (catalog.item_vectors.T @ social) * alphas[None, :]
-    if not np.all(np.isfinite(logits)):
-        raise NumericalError("non-finite recommendation scores")
-    probs = _softmax(logits)                     # (m, n)
-
     sample_size = h
     if hooks.candidate_count is not None:
         sample_size = min(int(hooks.candidate_count), m)
@@ -283,44 +296,47 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
             raise InvalidRequest(
                 f"candidate pool {sample_size} smaller than list length {h}")
 
-    new_U = np.empty_like(U)
     slates: list[RecommendationSlate] = []
     slate_items = np.empty((n, h), dtype=np.int64)
-    signs = np.empty((n, h), dtype=np.int8)
-    p_pos_used = np.empty((n, h))
-    eta_over_h = params.eta / h
+    uniforms = np.empty((n, h))
+    padded = np.empty(n, dtype=bool)
 
-    for i in range(n):
-        stream = splitter.user_stream(t, i)
-        p_i = probs[:, i]
-        padded = int((p_i > 0).sum()) < sample_size
-        items = sample_without_replacement(p_i, sample_size, stream)
-        reranked = hooks.rerank(U[:, i], items, catalog, h)
-        if reranked is not None:
-            items = np.asarray(reranked, dtype=np.int64)
-        if items.size != h:
-            raise InvalidRequest(
-                f"slate for user {i} has {items.size} items, expected {h}")
+    # Blocks of about BLOCK_ENTRIES // m users. None has a single user unless
+    # n == 1: a one-column matmul (gemv) and column sum round differently, and
+    # no user's probabilities may depend on the blocking.
+    starts = range(0, max(n - 1, 1), max(2, BLOCK_ENTRIES // m))
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        probs = _softmax((V.T @ social[:, lo:hi]) * alphas[None, lo:hi])   # (m, block)
+        padded[lo:hi] = (probs > 0).sum(axis=0) < sample_size
+        streams = [splitter.user_stream(states.t, i) for i in range(lo, hi)]
+        pools = sample_without_replacement(probs.T, sample_size, streams)
+        for r, i in enumerate(range(lo, hi)):
+            reranked = hooks.rerank(U[:, i], pools[r], catalog, h)
+            items = pools[r] if reranked is None else np.asarray(reranked, dtype=np.int64)
+            if items.size != h:
+                raise InvalidRequest(
+                    f"slate for user {i} has {items.size} items, expected {h}")
+            slate_items[i] = items
+            streams[r].random(out=uniforms[i])
+            recorded = probs[:, r].copy() if record_probabilities else None
+            slates.append(RecommendationSlate(i, slate_items[i], recorded, bool(padded[i])))
 
-        dots = catalog.item_vectors[:, items].T @ U[:, i]
-        pos, _ = _feedback_pair(dots, params.beta, params.epsilon)
-        s = np.where(stream.random(h) < pos, 1, -1).astype(np.int8)
-        weights = hooks.update_weights(s)
-        new_U[:, i] = U[:, i] + eta_over_h * (catalog.item_vectors[:, items] @ weights)
+    # Per user, the same gemv as V[:, items].T @ u and V[:, items] @ w.
+    slate_vectors = V[:, slate_items].transpose(1, 0, 2)        # (n, c, h)
+    dots = np.matmul(slate_vectors.transpose(0, 2, 1), U.T[:, :, None])[:, :, 0]
+    p_pos, _ = _feedback_pair(dots, params.beta, params.epsilon)
+    signs = np.where(uniforms < p_pos, 1, -1).astype(np.int8)
+    weights = hooks.update_weights(signs)
+    if weights.shape != signs.shape:      # e.g. a hook written for one user's (h,)
+        raise InvalidRequest(f"update_weights returned shape {weights.shape}, "
+                             f"expected {signs.shape}")
+    moves = np.matmul(slate_vectors, weights[:, :, None])[:, :, 0]
+    # In the memory order of U: the metrics round differently by layout.
+    new_U = np.add(U, (params.eta / h) * moves.T, out=np.empty_like(U))
 
-        slate_items[i] = items
-        signs[i] = s
-        p_pos_used[i] = pos
-        slates.append(RecommendationSlate(
-            user=i,
-            items=items,
-            probabilities_used=p_i.copy() if record_probabilities else None,
-            padded=padded,
-        ))
-
-    log = StepLog(t=t, slates=slates, slate_items=slate_items,
-                  signs=signs, p_pos=p_pos_used)
-    return UserStates(new_U, t + 1), log
+    log = StepLog(t=states.t, slates=slates, slate_items=slate_items,
+                  signs=signs, p_pos=p_pos, padded=padded)
+    return UserStates(new_U, states.t + 1), log
 
 
 @dataclass
@@ -361,8 +377,6 @@ def run(initial_states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     """
     if T < 1:
         raise InvalidRequest(f"need T >= 1, got {T}")
-    if params.h > catalog.m:
-        raise InvalidRequest("recommendation list longer than the catalog")
     schedule = set(default_metric_schedule(T) if metric_schedule is None
                    else (int(s) for s in metric_schedule))
     snap_at = set(int(s) for s in snapshot_steps)
@@ -382,7 +396,7 @@ def run(initial_states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
         new_states, log = simulate_step(
             states, catalog, graph, params, splitter, hooks,
             record_probabilities=record_probabilities)
-        padded += sum(1 for s in log.slates if s.padded)
+        padded += int(log.padded.sum())
         if t in schedule:
             records.append(compute_metrics_record(
                 t, states, log.slate_items, catalog, graph, settings))

@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.stats
 
 from .catalog import (
     ItemCatalog,
@@ -35,7 +34,7 @@ from .catalog import (
     init_user_random,
     normalize_columns,
 )
-from .dynamics import Trajectory, run
+from .dynamics import Trajectory, default_metric_schedule, run
 from .errors import DegenerateHistory, InvalidRequest, IoError, ParseError
 from .metrics import MetricSettings
 from .mitigation import MitigationConfig, build_hooks
@@ -350,14 +349,11 @@ class RunSummary:
 
 
 def _metric_schedule(config: ExperimentConfig) -> list[int]:
-    if config.metric_every is not None:
-        if config.metric_every < 1:
-            raise InvalidRequest("metric_every must be >= 1")
-        steps = list(range(0, config.steps, config.metric_every))
-    elif config.steps <= 1000:
-        steps = list(range(config.steps))
-    else:
-        steps = list(range(0, config.steps, 10))
+    if config.metric_every is None:
+        return default_metric_schedule(config.steps)
+    if config.metric_every < 1:
+        raise InvalidRequest("metric_every must be >= 1")
+    steps = list(range(0, config.steps, config.metric_every))
     if steps[-1] != config.steps - 1:
         steps.append(config.steps - 1)
     return steps
@@ -365,7 +361,11 @@ def _metric_schedule(config: ExperimentConfig) -> list[int]:
 
 def build_dataset(config: ExperimentConfig,
                   seed: int) -> tuple[ItemCatalog, UserStates, SocialGraph]:
-    """Materialize the dataset for one seed (synthetic regenerates per seed)."""
+    """Materialize the dataset for one seed.
+
+    Synthetic worlds depend on the seed; a file-based dataset does not (its
+    fallback initial users are keyed by user index alone).
+    """
     if config.synthetic is not None:
         s = config.synthetic
         return generate_synthetic(s.n, s.m, s.c, s.links, seed)
@@ -399,8 +399,11 @@ def run_experiment(config: ExperimentConfig,
     schedule = _metric_schedule(config)
     trajectories: dict[int, Trajectory] = {}
     k_used = None
+    # ``run`` copies the initial states and only reads the catalog and graph,
+    # so one ingestion of a file-based dataset serves every seed.
+    shared = None if config.synthetic else build_dataset(config, config.seeds[0])
     for seed in config.seeds:
-        catalog, states, graph = build_dataset(config, seed)
+        catalog, states, graph = shared or build_dataset(config, seed)
         k_used = _resolve_ts_k(config, states.n)
         settings = MetricSettings(ts_k=k_used, pdv_mode=config.pdv_mode)
         hooks = build_hooks(config.mitigation, config.params)
@@ -439,6 +442,7 @@ def summarize(config: ExperimentConfig, schedule: Sequence[int], k_used: int,
         per_seed = rows[:, keep_mask].mean(axis=1)
         mean = float(per_seed.mean())
         if len(config.seeds) >= 2:
+            import scipy.stats      # deferred: it costs about 1 s of import time
             std = float(per_seed.std(ddof=1))
             tcrit = float(scipy.stats.t.ppf(0.975, len(config.seeds) - 1))
             ci95 = tcrit * std / math.sqrt(len(config.seeds))
@@ -527,6 +531,7 @@ def compare_runs(candidate: RunSummary,
         elif np.allclose(cand, base) and cand.std() == 0 and base.std() == 0:
             p = 1.0
         else:
+            import scipy.stats
             p = float(scipy.stats.ttest_ind(cand, base, equal_var=False).pvalue)
             if math.isnan(p):
                 p = 1.0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recloop as rl
+from recloop import dynamics
 from recloop import (
     ItemCatalog,
     ModelParams,
@@ -21,8 +22,9 @@ from recloop import (
     social_representation,
     update_user,
 )
-from recloop.dynamics import _feedback_pair
+from recloop.dynamics import StrategyHooks, _feedback_pair, _social_matrix
 from recloop.errors import InvalidRequest, NumericalError
+from recloop.mitigation import MitigationConfig, build_hooks
 
 
 def single_category_catalog(counts):
@@ -124,6 +126,25 @@ class TestSampleWithoutReplacement:
         a = sample_without_replacement(p, 10, np.random.default_rng(9))
         b = sample_without_replacement(p, 10, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
+
+    def test_rows_match_one_dimensional_calls(self):
+        """Each row of a 2-D call draws what a 1-D call with a twin generator
+        draws, padded rows (fewer than h positive entries) included."""
+        rng = np.random.default_rng(11)
+        p = rng.dirichlet(np.ones(30), size=6)
+        p[1, 3:] = 0.0                       # 3 positive entries < h: padded
+        p[4, :] = 0.0
+        p[4, 7] = 1.0                        # point mass: padded
+        p[1] /= p[1].sum()
+        for block in (p, p[4:5]):
+            for h in (1, 5, 30):
+                rows = sample_without_replacement(
+                    block, h, [np.random.default_rng(s) for s in range(len(block))])
+                assert rows.shape == (len(block), h)
+                for r, row in enumerate(block):
+                    twin = np.random.default_rng(r)
+                    np.testing.assert_array_equal(
+                        rows[r], sample_without_replacement(row, h, twin))
 
     def test_inclusion_frequency_matches_expectation(self):
         """Empirical inclusion rates track h*p_j for a skewed distribution.
@@ -257,7 +278,145 @@ def tiny_world(n=4, m=30, c=3, links=6, seed=0):
     return catalog, graph, UserStates(U.copy(), 0)
 
 
+def mixed_world(n, m, c, links, seed):
+    """tiny_world with items of one to three categories."""
+    catalog, graph, states = tiny_world(n=n, m=m, c=c, links=links, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    sets = [tuple(sorted(set(rng.integers(0, c, size=rng.integers(1, 4)))))
+            for _ in range(m)]
+    return ItemCatalog.from_category_sets(sets, c), graph, states
+
+
+def reference_step(states, catalog, graph, params, rng, hooks=None):
+    """The engine one user at a time: the reference the blocked step must
+    match bit for bit (whole-step softmax, 1-D race, per-user feedback)."""
+    splitter = dynamics._as_splitter(rng)
+    hooks = hooks if hooks is not None else StrategyHooks()
+    U = states.user_matrix
+    V = catalog.item_vectors
+    n, m, h = U.shape[1], catalog.m, params.h
+    hooks.begin_step(U, catalog, graph, params)
+    alphas = hooks.user_alphas(U, params)
+    if alphas is None:
+        alphas = np.full(n, params.alpha)
+    social = hooks.social_matrix(U, graph, params)
+    if social is None:
+        social = _social_matrix(U, graph, params.gamma)
+    logits = (V.T @ social) * alphas[None, :]
+    e = np.exp(logits - logits.max(axis=0, keepdims=True))
+    probs = e / e.sum(axis=0, keepdims=True)
+    sample_size = h if hooks.candidate_count is None else \
+        min(int(hooks.candidate_count), m)
+
+    new_U = np.empty_like(U)
+    slate_items = np.empty((n, h), dtype=np.int64)
+    signs = np.empty((n, h), dtype=np.int8)
+    p_pos = np.empty((n, h))
+    padded = np.empty(n, dtype=bool)
+    for i in range(n):
+        stream = splitter.user_stream(states.t, i)
+        padded[i] = int((probs[:, i] > 0).sum()) < sample_size
+        items = sample_without_replacement(probs[:, i], sample_size, stream)
+        reranked = hooks.rerank(U[:, i], items, catalog, h)
+        if reranked is not None:
+            items = np.asarray(reranked, dtype=np.int64)
+        pos, _ = _feedback_pair(V[:, items].T @ U[:, i], params.beta,
+                                params.epsilon)
+        s = np.where(stream.random(h) < pos, 1, -1).astype(np.int8)
+        new_U[:, i] = U[:, i] + (params.eta / h) * (
+            V[:, items] @ hooks.update_weights(s))
+        slate_items[i], signs[i], p_pos[i] = items, s, pos
+    return new_U, slate_items, signs, p_pos, padded, probs
+
+
+def assert_same_step(states, catalog, graph, params, seed, hooks=None):
+    new_U, items, signs, p_pos, padded, probs = reference_step(
+        states, catalog, graph, params, seed, hooks)
+    new_states, log = simulate_step(states, catalog, graph, params, seed, hooks)
+    np.testing.assert_array_equal(log.slate_items, items)
+    np.testing.assert_array_equal(log.signs, signs)
+    np.testing.assert_array_equal(log.p_pos, p_pos)
+    np.testing.assert_array_equal(log.padded, padded)
+    assert [s.padded for s in log.slates] == padded.tolist()
+    np.testing.assert_array_equal(
+        np.stack([s.probabilities_used for s in log.slates], axis=1), probs)
+    np.testing.assert_array_equal(new_states.user_matrix, new_U)
+    assert new_states.user_matrix.flags.c_contiguous
+    return log
+
+
+STRATEGY_KNOBS = {
+    "none": {},
+    "ua_alpha": dict(sigma=10.0),
+    "fua": dict(rho=0.02),
+    "dpp": dict(theta=0.501, candidate_count=60),
+    "sar": dict(omega=10.0, sar_strict_denominator=True),
+}
+
+
+class TestBlockedStep:
+    @pytest.mark.parametrize("strategy", sorted(STRATEGY_KNOBS))
+    def test_matches_per_user_reference(self, strategy):
+        catalog, graph, states = mixed_world(n=23, m=150, c=4, links=60, seed=5)
+        params = ModelParams(h=6)
+        hooks = build_hooks(
+            MitigationConfig(strategy=strategy, **STRATEGY_KNOBS[strategy]),
+            params)
+        for _ in range(3):
+            assert_same_step(states, catalog, graph, params, 8, hooks)
+            states, _ = simulate_step(states, catalog, graph, params, 8, hooks)
+
+    def test_softmax_underflow_pads_like_reference(self):
+        """A huge alpha leaves most users fewer than h items of positive
+        probability, so their slates take the zero-probability padding."""
+        catalog, graph, states = mixed_world(n=17, m=40, c=3, links=20, seed=2)
+        log = assert_same_step(states, catalog, graph,
+                               ModelParams(alpha=5e4, h=8), 3)
+        assert 0 < log.padded.sum() < 17
+
+    @given(n=st.integers(1, 12), m=st.integers(8, 40), c=st.integers(1, 4),
+           alpha=st.sampled_from([0.0, 5.0, 3e4]), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_block_size_changes_nothing(self, n, m, c, alpha, seed):
+        """Counter-split streams make every draw independent of the blocking:
+        a block constant worth 1, 2, 7 and n users gives bit-equal steps (a
+        block holds two users or more unless n == 1)."""
+        catalog, graph, states = mixed_world(n=n, m=m, c=c,
+                                             links=min(n * (n - 1), 2 * n),
+                                             seed=seed)
+        params = ModelParams(alpha=alpha, h=min(5, m))
+        saved = dynamics.BLOCK_ENTRIES
+        outs = []
+        try:
+            for users in (1, 2, 7, n):
+                dynamics.BLOCK_ENTRIES = users * m
+                outs.append(simulate_step(states, catalog, graph, params, seed))
+        finally:
+            dynamics.BLOCK_ENTRIES = saved
+        (first_states, first), rest = outs[0], outs[1:]
+        for new_states, log in rest:
+            for name in ("slate_items", "signs", "p_pos", "padded"):
+                np.testing.assert_array_equal(getattr(log, name),
+                                              getattr(first, name))
+            for a, b in zip(log.slates, first.slates):
+                np.testing.assert_array_equal(a.probabilities_used,
+                                              b.probabilities_used)
+            np.testing.assert_array_equal(new_states.user_matrix,
+                                          first_states.user_matrix)
+
+
 class TestSimulateStep:
+    def test_new_state_keeps_memory_order(self):
+        """U(t+1) has the memory order of U(t) at any size; the metrics round
+        by layout. (Adding a large transposed temporary reuses its buffer,
+        which would make the sum F-ordered.)"""
+        catalog, graph, states = tiny_world(n=5000, m=40, c=8, links=0)
+        for U in (states.user_matrix, np.asfortranarray(states.user_matrix)):
+            new_states, _ = simulate_step(UserStates(U, 0), catalog, graph,
+                                          ModelParams(h=3), 1)
+            assert new_states.user_matrix.flags.c_contiguous == \
+                U.flags.c_contiguous
+
     def test_zero_rate_update_freezes_state(self):
         catalog, graph, states = tiny_world()
         params = ModelParams(beta=0.0, epsilon=0.0, eta=0.0, h=5)
@@ -310,6 +469,19 @@ class TestSimulateStep:
         recs = log.feedback_records(0)
         assert len(recs) == 7
         assert all(r.sign in (-1, 1) for r in recs)
+
+    def test_per_user_update_weights_hook_rejected(self):
+        """update_weights gets the (n, h) signs of a whole step; a hook that
+        returns weights of another shape is rejected by name."""
+        catalog, graph, states = tiny_world()
+
+        class MeanHooks(StrategyHooks):
+            def update_weights(self, signs):
+                return signs.mean(axis=0)
+
+        with pytest.raises(InvalidRequest, match="update_weights"):
+            simulate_step(states, catalog, graph, ModelParams(h=5), 0,
+                          MeanHooks())
 
     def test_h_exceeding_catalog_rejected(self):
         catalog, graph, states = tiny_world(m=5)

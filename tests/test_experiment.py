@@ -2,10 +2,16 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import recloop
+from recloop import experiment
 from recloop import (
     ExperimentConfig,
     ModelParams,
@@ -184,6 +190,31 @@ class TestRunExperiment:
         run_experiment(config, tmp_path)
         assert (tmp_path / "final_states_seed1.csv").exists()
 
+    def test_file_dataset_ingested_once_for_all_seeds(self, dataset_dir,
+                                                        monkeypatch):
+        """A file-based dataset does not depend on the seed: one ingestion
+        serves every seed, with the rows three 1-seed runs would write."""
+        calls = []
+        ingest = experiment.ingest_interactions
+        monkeypatch.setattr(experiment, "ingest_interactions",
+                            lambda *a: calls.append(a) or ingest(*a))
+        files = dict(items_file=str(dataset_dir / "items.csv"),
+                     interactions_file=str(dataset_dir / "interactions.csv"),
+                     trust_file=str(dataset_dir / "trust.csv"))
+
+        def config(seeds):
+            return ExperimentConfig(seeds=seeds, steps=4,
+                                    params=ModelParams(h=2), **files)
+
+        run_experiment(config((4, 5, 6)), dataset_dir / "all")
+        assert len(calls) == 1
+        rows = ["t,seed,rce,ra,nd,pdv,ts_at_k\n"]
+        for seed in (4, 5, 6):
+            run_experiment(config((seed,)), dataset_dir / f"s{seed}")
+            text = (dataset_dir / f"s{seed}" / "metrics.csv").read_text()
+            rows.extend(text.splitlines(keepends=True)[1:])
+        assert (dataset_dir / "all" / "metrics.csv").read_text() == "".join(rows)
+
     def test_seed_validation(self):
         with pytest.raises(InvalidRequest):
             small_config(seeds=())
@@ -311,3 +342,12 @@ class TestExportStates:
         states = UserStates(np.eye(2), 0)
         with pytest.raises(IoError):
             export_states(states, tmp_path / "missing_dir" / "x.csv")
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """``import recloop`` defers scipy.stats, about 1 s of import time, to
+    the across-seed statistics that use it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(recloop.__file__).parents[1]))
+    code = "import sys, recloop; sys.exit('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert done.returncode == 0
