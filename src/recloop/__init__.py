@@ -63,8 +63,6 @@ from .mitigation import (
     adaptive_alpha,
     build_hooks,
     dpp_rerank,
-    fua_weight,
-    sar_social_representation,
 )
 from .theory import (
     ConvergenceReport,

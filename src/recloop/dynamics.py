@@ -2,12 +2,13 @@
 
 The engine is synchronous: every slate and every feedback draw in a step is
 computed against the state snapshot at the start of the step, and the updated
-matrix is written in a single pass afterwards. Users go through the softmax
-and the sampling race in blocks of about ``BLOCK_ENTRIES // m`` users, so a
-step holds O(block * m) floats, never O(n * m); feedback and the update are
-array work over the whole step. Randomness is counter-split per (step, user)
-and each user's stream is drawn in the same order whatever the block, so
-results are identical however the users are blocked.
+matrix is written in a single pass afterwards. Users go through the softmax,
+the sampling race and the re-rank hook in blocks of about
+``BLOCK_ENTRIES // m`` users, so a step holds O(block * m) floats, never
+O(n * m); feedback and the update are array work over the whole step.
+Randomness is counter-split per (step, user) and each user's stream is drawn
+in the same order whatever the block, so results are identical however the
+users are blocked.
 """
 
 from __future__ import annotations
@@ -225,9 +226,11 @@ class StrategyHooks:
 
     ``candidate_count`` widens the sampled pool (for re-ranking hooks);
     every other hook returns None to fall through to the default behavior.
-    ``rerank`` is called once per user; ``update_weights`` once per step,
-    on the (n, h) sign matrix, and must return weights of that shape.
-    Hooks must be pure given the state snapshot handed to ``begin_step``.
+    ``rerank`` is called once per user block, on the block's (c, b) user
+    vectors and (b, K) sampled pools, and must return (b, h) slates;
+    ``update_weights`` once per step, on the (n, h) sign matrix, and must
+    return weights of that shape. Hooks draw no random numbers and must be
+    pure given the state snapshot handed to ``begin_step``.
     """
 
     candidate_count: int | None = None
@@ -262,7 +265,7 @@ def _social_matrix(user_matrix: np.ndarray, graph: SocialGraph,
 
 def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
                   params: ModelParams, rng, hooks: StrategyHooks | None = None,
-                  record_probabilities: bool = True) -> tuple[UserStates, StepLog]:
+                  record_probabilities: bool = False) -> tuple[UserStates, StepLog]:
     """Run one synchronous interaction round for every user.
 
     All slates and feedback are computed against U(t); U(t+1) is assembled
@@ -311,15 +314,16 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
         streams = [splitter.user_stream(states.t, i) for i in range(lo, hi)]
         pools = sample_without_replacement(probs.T, sample_size, streams)
         for r, i in enumerate(range(lo, hi)):
-            reranked = hooks.rerank(U[:, i], pools[r], catalog, h)
-            items = pools[r] if reranked is None else np.asarray(reranked, dtype=np.int64)
-            if items.size != h:
-                raise InvalidRequest(
-                    f"slate for user {i} has {items.size} items, expected {h}")
-            slate_items[i] = items
             streams[r].random(out=uniforms[i])
             recorded = probs[:, r].copy() if record_probabilities else None
+            # slate_items[i] is a view, filled below
             slates.append(RecommendationSlate(i, slate_items[i], recorded, bool(padded[i])))
+        reranked = hooks.rerank(U[:, lo:hi], pools, catalog, h)   # draws nothing
+        items = pools if reranked is None else np.asarray(reranked, dtype=np.int64)
+        if items.shape != (hi - lo, h):
+            raise InvalidRequest(f"rerank returned shape {items.shape} for users "
+                                 f"{lo}..{hi - 1}, expected {(hi - lo, h)}")
+        slate_items[lo:hi] = items
 
     # Per user, the same gemv as V[:, items].T @ u and V[:, items] @ w.
     slate_vectors = V[:, slate_items].transpose(1, 0, 2)        # (n, c, h)

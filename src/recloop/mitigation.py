@@ -5,6 +5,11 @@ softmax temperature, FUA reweights the feedback update, DPP re-ranks an
 oversampled candidate pool for diversity, and SAR reweights the neighbor
 aggregation toward broad-interest users. Exactly one strategy is active per
 run; combining them is out of scope.
+
+Each hook works on a whole block of users or a whole step: the DPP re-rank
+runs its greedy selection for every user of a block at once, one (b, K)
+score matrix per pick, and ``dpp_rerank`` is the one-user form of that same
+selection.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .catalog import ItemCatalog, ModelParams, SocialGraph, UserStates, normalize_columns
+from .catalog import ItemCatalog, ModelParams, SocialGraph
 from .dynamics import StrategyHooks
 from .errors import InvalidRequest
 from .metrics import dispersions
@@ -74,15 +79,6 @@ def adaptive_alpha(dispersion_values: np.ndarray, sigma: float,
     return (w / w.sum()) * alpha0
 
 
-def fua_weight(sign: int, rho: float) -> float:
-    """Update weight for a feedback sign: +1 -> 1-rho, -1 -> -1-rho."""
-    if sign == 1:
-        return 1.0 - rho
-    if sign == -1:
-        return -1.0 - rho
-    raise InvalidRequest(f"sign must be +1 or -1, got {sign}")
-
-
 def dpp_rerank(u: np.ndarray, candidate_items: np.ndarray,
                catalog: ItemCatalog, theta: float, h: int) -> np.ndarray:
     """Greedy diversity-penalized selection of h items from the candidate pool.
@@ -97,53 +93,44 @@ def dpp_rerank(u: np.ndarray, candidate_items: np.ndarray,
             f"candidate pool of {cands.size} cannot fill a list of {h}")
     if np.unique(cands).size != cands.size:
         raise InvalidRequest("candidate items must be distinct")
-    order = np.argsort(cands, kind="stable")   # argmax then prefers low item ids
-    cands = cands[order]
-    vecs = catalog.item_vectors[:, cands]      # (c, K)
-    relevance = vecs.T @ np.asarray(u, dtype=float)
-
-    chosen = np.zeros(cands.size, dtype=bool)
-    first = int(np.argmax(relevance))
-    chosen[first] = True
-    picks = [first]
-    chosen_sum = vecs[:, first].copy()
-    for _ in range(1, h):
-        direction = chosen_sum / np.linalg.norm(chosen_sum)
-        scores = (1.0 - theta) * relevance - theta * (vecs.T @ direction)
-        scores[chosen] = -np.inf
-        nxt = int(np.argmax(scores))
-        chosen[nxt] = True
-        picks.append(nxt)
-        chosen_sum += vecs[:, nxt]
-    return cands[np.array(picks)]
+    users = np.asarray(u, dtype=float)[None]
+    return _greedy_select(users, cands[None], catalog, theta, h)[0]
 
 
-def sar_social_representation(states, graph: SocialGraph, i: int, gamma: float,
-                              omega: float, dispersion_values: np.ndarray,
-                              strict_denominator: bool = False) -> np.ndarray:
-    """Social blend with neighbors reweighted by exp(-omega * dispersion).
+def _greedy_select(users: np.ndarray, pools: np.ndarray, catalog: ItemCatalog,
+                   theta: float, h: int) -> np.ndarray:
+    """``dpp_rerank`` of each row: users (b, c), pools (b, K) of distinct ids.
 
-    The default normalizes by the weight sum (a proper convex combination,
-    recovering the plain neighbor mean at omega=0); the strict variant
-    divides by sum(w) * |N_i| as printed in the aggregation rule.
+    Stacked matmuls make per row the gemv (relevance, penalty) and the ddot
+    (chosen-sum norm) of a one-row call, so no row depends on the others.
+    A pool of all m items is, sorted, the whole catalog in id order. Each
+    (K, c) matrix is C-ordered, as ``V[:, items]`` lays it out: the F-ordered
+    ``V.T`` goes to another gemv kernel, which rounds differently.
     """
-    matrix = states.user_matrix if isinstance(states, UserStates) else np.asarray(states, dtype=float)
-    u = matrix[:, i]
-    if gamma == 1.0 or graph.isolated[i]:
-        return u.copy()
-    nb = graph.neighbor_lists[i]
-    dis = np.asarray(dispersion_values, dtype=float)[nb]
-    log_w = -omega * dis
-    w = np.exp(log_w - log_w.max())
-    if strict_denominator:
-        raw = np.exp(log_w)
-        denom = raw.sum() * len(nb)
-        if denom == 0:
-            raise InvalidRequest("strict denominator underflowed to zero")
-        agg = (matrix[:, nb] @ raw) / denom
+    b, K = pools.shape
+    V = catalog.item_vectors
+    rows = np.arange(b)
+    if K == catalog.m:
+        items, vecs, row = None, np.ascontiguousarray(V.T)[None], 0   # (1, m, c)
     else:
-        agg = (matrix[:, nb] @ w) / w.sum()
-    return gamma * u + (1.0 - gamma) * agg
+        items = np.sort(pools, axis=1)      # argmax then prefers low item ids
+        vecs, row = V[:, items].transpose(1, 2, 0), rows              # (b, K, c)
+    relevance = np.matmul(vecs, users[:, :, None])[:, :, 0]
+    picks = np.empty((b, h), dtype=np.int64)
+    picks[:, 0] = np.argmax(relevance, axis=1)
+    chosen_sum = vecs[row, picks[:, 0]]                             # (b, c)
+    scaled = (1.0 - theta) * relevance
+    # Reused buffers: a fresh (b, K) array per pick costs its page faults.
+    penalty, scores = np.empty((b, K, 1)), np.empty((b, K))
+    for j in range(1, h):
+        norm = np.sqrt(np.matmul(chosen_sum[:, None, :], chosen_sum[:, :, None]))
+        np.matmul(vecs, (chosen_sum / norm[:, 0])[:, :, None], out=penalty)
+        np.subtract(scaled, np.multiply(theta, penalty[:, :, 0], out=scores),
+                    out=scores)
+        scores[rows[:, None], picks[:, :j]] = -np.inf
+        picks[:, j] = np.argmax(scores, axis=1)
+        chosen_sum += vecs[row, picks[:, j]]
+    return picks if items is None else np.take_along_axis(items, picks, axis=1)
 
 
 class AdaptiveAlphaHooks(StrategyHooks):
@@ -178,7 +165,9 @@ class DiversityRerankHooks(StrategyHooks):
     """Oversample a candidate pool and greedily re-rank it for diversity.
 
     Relevance is scored against the l2-normalized user vector so the
-    diversity penalty stays commensurate as raw norms grow.
+    diversity penalty stays commensurate as raw norms grow. ``rerank`` takes
+    a block's (c, b) users and (b, K) pools and returns (b, h) slates; one
+    user's (c,) vector and (K,) pool give one (h,) slate.
     """
 
     def __init__(self, theta: float, candidate_count: int = 1000):
@@ -186,9 +175,15 @@ class DiversityRerankHooks(StrategyHooks):
         self.candidate_count = candidate_count
 
     def rerank(self, u, candidate_items, catalog, h):
-        norm = np.linalg.norm(u)
-        un = u / norm if norm > 0 else u
-        return dpp_rerank(un, candidate_items, catalog, self.theta, h)
+        one = np.ndim(u) == 1                  # one user: (c,) and (K,)
+        users = np.ascontiguousarray(np.atleast_2d(np.transpose(u)), dtype=float)
+        pools = np.atleast_2d(candidate_items)
+        # The ddot of np.linalg.norm, one per contiguous user row.
+        norm = np.sqrt(np.matmul(users[:, None, :], users[:, :, None]))[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            users = np.where(norm > 0, users / norm, users)
+        picks = _greedy_select(users, pools, catalog, self.theta, h)
+        return picks[0] if one else picks
 
 
 class SocialReweightHooks(StrategyHooks):

@@ -332,7 +332,8 @@ def reference_step(states, catalog, graph, params, rng, hooks=None):
 def assert_same_step(states, catalog, graph, params, seed, hooks=None):
     new_U, items, signs, p_pos, padded, probs = reference_step(
         states, catalog, graph, params, seed, hooks)
-    new_states, log = simulate_step(states, catalog, graph, params, seed, hooks)
+    new_states, log = simulate_step(states, catalog, graph, params, seed, hooks,
+                                    record_probabilities=True)
     np.testing.assert_array_equal(log.slate_items, items)
     np.testing.assert_array_equal(log.signs, signs)
     np.testing.assert_array_equal(log.p_pos, p_pos)
@@ -366,6 +367,20 @@ class TestBlockedStep:
             assert_same_step(states, catalog, graph, params, 8, hooks)
             states, _ = simulate_step(states, catalog, graph, params, 8, hooks)
 
+    def test_whole_catalog_pool_matches_reference(self):
+        """A candidate_count of m or more makes every pool the whole catalog,
+        which the re-rank reads in id order without gathering the pool."""
+        catalog, graph, states = mixed_world(n=23, m=150, c=4, links=60, seed=6)
+        params = ModelParams(h=6)
+        for count in (150, 1000):
+            hooks = build_hooks(MitigationConfig(strategy="dpp", theta=0.501,
+                                                 candidate_count=count), params)
+            step_states = states
+            for _ in range(3):
+                assert_same_step(step_states, catalog, graph, params, 8, hooks)
+                step_states, _ = simulate_step(step_states, catalog, graph,
+                                               params, 8, hooks)
+
     def test_softmax_underflow_pads_like_reference(self):
         """A huge alpha leaves most users fewer than h items of positive
         probability, so their slates take the zero-probability padding."""
@@ -390,7 +405,8 @@ class TestBlockedStep:
         try:
             for users in (1, 2, 7, n):
                 dynamics.BLOCK_ENTRIES = users * m
-                outs.append(simulate_step(states, catalog, graph, params, seed))
+                outs.append(simulate_step(states, catalog, graph, params, seed,
+                                          record_probabilities=True))
         finally:
             dynamics.BLOCK_ENTRIES = saved
         (first_states, first), rest = outs[0], outs[1:]
@@ -441,7 +457,7 @@ class TestSimulateStep:
         out = []
         for _ in range(2):
             _, log = simulate_step(states.copy(), catalog, graph, params,
-                                   StreamSplitter(77))
+                                   StreamSplitter(77), record_probabilities=True)
             out.append(log)
         np.testing.assert_array_equal(out[0].slate_items, out[1].slate_items)
         np.testing.assert_array_equal(out[0].signs, out[1].signs)
@@ -482,6 +498,23 @@ class TestSimulateStep:
         with pytest.raises(InvalidRequest, match="update_weights"):
             simulate_step(states, catalog, graph, ModelParams(h=5), 0,
                           MeanHooks())
+
+    @pytest.mark.parametrize("shape", ["one_slate", "long_slates"])
+    def test_misshapen_rerank_hook_rejected(self, shape):
+        """rerank gets a block's (b, K) pools and must return (b, h) slates:
+        one user's (h,) slate or a slate of h + 1 items is rejected."""
+        catalog, graph, states = tiny_world()
+
+        class BadHooks(StrategyHooks):
+            candidate_count = 8
+
+            def rerank(self, u, candidate_items, catalog, h):
+                if shape == "one_slate":
+                    return candidate_items[0, :h]
+                return candidate_items[:, :h + 1]
+
+        with pytest.raises(InvalidRequest, match="rerank"):
+            simulate_step(states, catalog, graph, ModelParams(h=5), 0, BadHooks())
 
     def test_h_exceeding_catalog_rejected(self):
         catalog, graph, states = tiny_world(m=5)

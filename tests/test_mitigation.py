@@ -14,17 +14,23 @@ from recloop import (
     build_hooks,
     build_social_graph,
     dpp_rerank,
-    fua_weight,
-    sar_social_representation,
 )
 from recloop.dynamics import simulate_step, social_representation
 from recloop.metrics import category_entropy, dispersions
 from recloop.mitigation import (
+    DiversityRerankHooks,
     MitigationConfig,
     SocialReweightHooks,
     _reweighted_influence,
 )
 from recloop.errors import InvalidRequest
+
+from oracles import (
+    dpp_hook_reference,
+    dpp_rerank_reference,
+    fua_weight,
+    sar_social_representation,
+)
 
 
 class TestAdaptiveAlpha:
@@ -146,6 +152,120 @@ class TestDppRerank:
             gains.append(category_entropy(diverse, cat)
                          - category_entropy(relevant, cat))
         assert np.mean(gains) > 0
+
+
+def multi_category_catalog(m, c, seed):
+    """Items of one to three categories, so item vectors have 1/sqrt(k) entries."""
+    rng = np.random.default_rng(seed)
+    return ItemCatalog.from_category_sets(
+        [tuple(rng.choice(c, size=rng.integers(1, min(c, 3) + 1), replace=False))
+         for _ in range(m)], c)
+
+
+def random_pools(rng, b, K, m):
+    """One unsorted pool of K distinct items per row, as the race leaves it."""
+    return np.array([rng.permutation(m)[:K] for _ in range(b)])
+
+
+class TestBatchedRerank:
+    """The hook re-ranks a (b, K) block of pools in one greedy pass; each row
+    must equal the one-user selection bit for bit."""
+
+    M, C, H = 90, 6, 8
+
+    def block_users(self, rng, b):
+        """A C-ordered (c, n) matrix whose column slice the engine hands over:
+        an all-zero user and users scaled far from unit norm among them."""
+        U = rng.standard_normal((self.C, b + 3))
+        U[:, 1] = 0.0
+        U[:, 2] *= 1e-160          # u.u underflows to 0: left unnormalized
+        U[:, 3] *= 1e-7
+        U[:, 4] *= 1e9
+        U[:, 5] *= 1e150
+        return U[:, 1:b + 1]
+
+    def assert_matches_reference(self, catalog, U, pools, theta, h):
+        hooks = DiversityRerankHooks(theta)
+        got = hooks.rerank(U, pools, catalog, h)
+        want = np.array([dpp_hook_reference(U[:, r], pools[r], catalog, theta, h)
+                         for r in range(U.shape[1])])
+        assert got.shape == (U.shape[1], h)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.501, 1.0])
+    @pytest.mark.parametrize("K", [H, M // 3, M])
+    def test_block_matches_per_user_selection(self, theta, K):
+        rng = np.random.default_rng(int(theta * 1000) + K)
+        catalog = multi_category_catalog(self.M, self.C, seed=K)
+        U = self.block_users(rng, 12)
+        pools = random_pools(rng, 12, K, self.M)
+        self.assert_matches_reference(catalog, U, pools, theta, self.H)
+
+    @pytest.mark.parametrize("K", [1, 30, 90])
+    def test_single_item_slates(self, K):
+        rng = np.random.default_rng(K)
+        catalog = multi_category_catalog(self.M, self.C, seed=3)
+        U = self.block_users(rng, 9)
+        self.assert_matches_reference(catalog, U, random_pools(rng, 9, K, self.M),
+                                      0.501, 1)
+
+    def test_ties_break_to_lowest_id_in_every_row(self):
+        """Single-category items tie exactly; each row keeps the lowest id."""
+        rng = np.random.default_rng(4)
+        catalog = ItemCatalog.from_category_sets(
+            [(int(rng.integers(0, 3)),) for _ in range(40)], 3)
+        U = np.abs(rng.standard_normal((3, 10)))
+        for K in (5, 17, 40):
+            self.assert_matches_reference(catalog, U, random_pools(rng, 10, K, 40),
+                                          0.501, 5)
+
+    @pytest.mark.parametrize("m", [6, 30, 31])
+    def test_equal_multi_category_items_tie_exactly(self, m):
+        """Items with the same two categories must score bit-equal wherever
+        they sit in the catalog; BLAS kernels round tail rows differently,
+        so only the per-user layout keeps the lowest-id tie-break."""
+        rng = np.random.default_rng(m)
+        catalog = ItemCatalog.from_category_sets(
+            [((0, 1), (1, 2))[int(rng.integers(0, 2))] for _ in range(m)], 3)
+        U = rng.standard_normal((3, 16)) * rng.choice([1e-3, 1.0, 1e4], size=16)
+        for K in (m, m - 1, 3):
+            self.assert_matches_reference(catalog, U, random_pools(rng, 16, K, m),
+                                          0.501, 3)
+
+    @given(m=st.integers(2, 60), c=st.integers(1, 7), b=st.integers(1, 9),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_blocks_match(self, m, c, b, data):
+        h = data.draw(st.integers(1, min(m, 10)))
+        K = data.draw(st.sampled_from(sorted({h, max(h, m // 3), m})))
+        theta = data.draw(st.sampled_from([0.0, 0.3, 0.501, 1.0]))
+        seed = data.draw(st.integers(0, 2**16))
+        rng = np.random.default_rng(seed)
+        catalog = multi_category_catalog(m, c, seed)
+        U = rng.standard_normal((c, b)) * rng.choice([1e-5, 1.0, 1e5], size=b)
+        self.assert_matches_reference(catalog, U, random_pools(rng, b, K, m),
+                                      theta, h)
+
+    def test_one_user_call_returns_one_slate(self):
+        rng = np.random.default_rng(5)
+        catalog = multi_category_catalog(self.M, self.C, seed=5)
+        u = rng.standard_normal(self.C) * 3.0
+        pool = rng.permutation(self.M)[:40]
+        got = DiversityRerankHooks(0.501).rerank(u, pool, catalog, self.H)
+        np.testing.assert_array_equal(
+            got, dpp_hook_reference(u, pool, catalog, 0.501, self.H))
+
+    @pytest.mark.parametrize("K", [8, 30, 90])
+    def test_public_entry_point_matches_reference(self, K):
+        """``dpp_rerank`` takes u as given (no normalization) and one pool."""
+        rng = np.random.default_rng(K)
+        catalog = multi_category_catalog(self.M, self.C, seed=6)
+        for theta in (0.0, 0.501, 1.0):
+            u = rng.standard_normal(self.C) * 7.0
+            pool = rng.permutation(self.M)[:K]
+            np.testing.assert_array_equal(
+                dpp_rerank(u, pool, catalog, theta, self.H),
+                dpp_rerank_reference(u, pool, catalog, theta, self.H))
 
 
 class TestSarSocialRepresentation:
