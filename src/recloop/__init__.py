@@ -12,26 +12,18 @@ from .catalog import (
     UserStates,
     build_item_vector,
     build_social_graph,
-    category_mass,
     init_user_from_history,
     init_user_random,
     normalize_columns,
 )
 from .dynamics import (
-    FeedbackRecord,
-    RecommendationSlate,
     StepLog,
     StrategyHooks,
     StreamSplitter,
     Trajectory,
-    draw_feedback,
-    feedback_probabilities,
-    recommendation_distribution,
     run,
     sample_without_replacement,
     simulate_step,
-    social_representation,
-    update_user,
 )
 from .experiment import (
     ExperimentConfig,
@@ -50,7 +42,6 @@ from .metrics import (
     MetricSettings,
     category_entropy,
     compute_metrics_record,
-    dispersion,
     dispersions,
     nd,
     pdv,

@@ -76,11 +76,6 @@ class ItemCatalog:
         return all(len(s) == 1 for s in self.category_sets)
 
 
-def category_mass(catalog: ItemCatalog) -> np.ndarray:
-    """Per-category mass n_o = sum_j v_j^(o), recomputed from the item matrix."""
-    return catalog.item_vectors.sum(axis=1)
-
-
 def init_user_from_history(
     positives: Iterable[int], negatives: Iterable[int], catalog: ItemCatalog
 ) -> np.ndarray:
@@ -126,14 +121,15 @@ def init_user_random(seed, c: int) -> np.ndarray:
 class SocialGraph:
     """Directed trust graph with the row-stochastic influence matrix.
 
-    ``influence_matrix`` is diag(S 1)^-1 S stored sparse; users without
-    neighbors are flagged isolated and get a unit self-loop row so that the
-    social blend degrades gracefully to the user's own vector.
+    ``edge_array`` holds the (truster, trusted) pairs; user i's neighbors are
+    the CSR row i of ``influence_matrix``, which is diag(S 1)^-1 S stored
+    sparse. Users without neighbors are flagged isolated and get a unit
+    self-loop row so that the social blend degrades gracefully to the user's
+    own vector.
     """
 
     n: int
     edge_array: np.ndarray                 # (E, 2) deduplicated, lexicographic
-    neighbor_lists: tuple[np.ndarray, ...]
     influence_matrix: sp.csr_matrix
     isolated: np.ndarray                   # bool, length n
 
@@ -147,7 +143,7 @@ class SocialGraph:
 
 
 def build_social_graph(edges: Iterable[tuple[int, int]], n: int) -> SocialGraph:
-    """Build neighbor lists and the row-stochastic influence matrix.
+    """Build the deduplicated edge array and the row-stochastic influence matrix.
 
     Accepts ordered pairs (i, j) meaning i trusts j. Duplicates are
     deduplicated and self-pairs ignored; isolated users receive a self-loop
@@ -165,40 +161,20 @@ def build_social_graph(edges: Iterable[tuple[int, int]], n: int) -> SocialGraph:
     else:
         edge_array = np.zeros((0, 2), dtype=np.int64)
 
-    neighbor_lists: list[np.ndarray] = [
-        np.zeros(0, dtype=np.int64) for _ in range(n)
-    ]
-    if edge_array.size:
-        order = np.lexsort((edge_array[:, 1], edge_array[:, 0]))
-        srcs = edge_array[order, 0]
-        dsts = edge_array[order, 1]
-        starts = np.searchsorted(srcs, np.arange(n), side="left")
-        ends = np.searchsorted(srcs, np.arange(n), side="right")
-        for i in range(n):
-            if ends[i] > starts[i]:
-                neighbor_lists[i] = dsts[starts[i]:ends[i]].copy()
-
-    isolated = np.array([len(nb) == 0 for nb in neighbor_lists], dtype=bool)
-
-    rows, cols, vals = [], [], []
-    for i, nb in enumerate(neighbor_lists):
-        if len(nb) == 0:
-            rows.append(i)
-            cols.append(i)
-            vals.append(1.0)
-        else:
-            w = 1.0 / len(nb)
-            rows.extend([i] * len(nb))
-            cols.extend(nb.tolist())
-            vals.extend([w] * len(nb))
-    influence = sp.csr_matrix(
-        (np.array(vals), (np.array(rows), np.array(cols))), shape=(n, n)
-    )
+    srcs, dsts = edge_array[:, 0], edge_array[:, 1]
+    degree = np.bincount(srcs, minlength=n)
+    isolated = degree == 0
+    loops = np.flatnonzero(isolated)
+    rows = np.concatenate([srcs, loops])
+    cols = np.concatenate([dsts, loops])
+    vals = np.concatenate([1.0 / degree[srcs], np.ones(loops.size)])
+    # The CSR conversion keeps each row's entries in input order: the sorted
+    # edges, or an isolated user's single self-loop.
+    influence = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
     return SocialGraph(
         n=n,
         edge_array=edge_array,
-        neighbor_lists=tuple(neighbor_lists),
         influence_matrix=influence,
         isolated=isolated,
     )
@@ -242,8 +218,8 @@ class UserStates:
     """The c x n user matrix plus the step counter.
 
     Columns are unit vectors at t=0; the dynamics never renormalize, so
-    columns at t>0 are unnormalized and ``normalized_view`` provides the
-    on-demand unit view that the metrics consume.
+    columns at t>0 are unnormalized and the metrics normalize them on read
+    (``normalize_columns``).
     """
 
     user_matrix: np.ndarray
@@ -256,9 +232,6 @@ class UserStates:
     @property
     def c(self) -> int:
         return self.user_matrix.shape[0]
-
-    def normalized_view(self) -> np.ndarray:
-        return normalize_columns(self.user_matrix)
 
     def copy(self) -> "UserStates":
         return UserStates(self.user_matrix.copy(), self.t)

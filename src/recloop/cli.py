@@ -178,11 +178,20 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _read_summary(path: str) -> RunSummary:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except OSError as exc:
+        raise ParseError(f"cannot read summary {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON in {path}: {exc}") from exc
+    return RunSummary.from_json_dict(data)
+
+
 def _cmd_compare(args) -> int:
-    with open(args.candidate, encoding="utf-8") as handle:
-        candidate = RunSummary.from_json_dict(json.load(handle))
-    with open(args.baseline, encoding="utf-8") as handle:
-        baseline = RunSummary.from_json_dict(json.load(handle))
+    candidate = _read_summary(args.candidate)
+    baseline = _read_summary(args.baseline)
     rows = compare_runs(candidate, baseline)
     header = f"{'metric':10s} {'dir':5s} {'baseline':>12s} {'candidate':>12s} " \
              f"{'improv%':>9s} {'p-value':>8s}"

@@ -1,5 +1,11 @@
 """One interaction round per user: recommend, collect biased feedback, update.
 
+Each operation of the loop has one batched implementation here: the social
+blend (``_social_matrix``), the softmax over the catalog (``_softmax``), the
+sampling race (``sample_without_replacement``), the feedback law
+(``_feedback_pair``) and the stacked update inside ``simulate_step``. A
+step's draws are logged as arrays over users in ``StepLog``.
+
 The engine is synchronous: every slate and every feedback draw in a step is
 computed against the state snapshot at the start of the step, and the updated
 matrix is written in a single pass afterwards. Users go through the softmax,
@@ -14,7 +20,7 @@ users are blocked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -48,34 +54,6 @@ def _as_splitter(rng) -> StreamSplitter:
     if isinstance(rng, StreamSplitter):
         return rng
     return StreamSplitter(int(rng))
-
-
-def social_representation(states, graph: SocialGraph, i: int,
-                          gamma: float) -> np.ndarray:
-    """Blend of the user's own vector and the mean of its neighbors' vectors.
-
-    Returns u_i itself when gamma is 1 (the graph is not read at all) or when
-    the user has no neighbors.
-    """
-    matrix = states.user_matrix if isinstance(states, UserStates) else np.asarray(states, dtype=float)
-    u = matrix[:, i]
-    if gamma == 1.0:
-        return u.copy()
-    if graph.isolated[i]:
-        return u.copy()
-    neighbors = graph.neighbor_lists[i]
-    mean = matrix[:, neighbors].mean(axis=1)
-    return gamma * u + (1.0 - gamma) * mean
-
-
-def recommendation_distribution(s: np.ndarray, catalog: ItemCatalog,
-                                alpha: float) -> np.ndarray:
-    """Softmax over alpha * (item score), computed with max-subtraction."""
-    if alpha < 0:
-        raise InvalidRequest("alpha must be >= 0")
-    with np.errstate(invalid="ignore"):
-        scores = alpha * (catalog.item_vectors.T @ np.asarray(s, dtype=float))
-    return _softmax(scores)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -125,20 +103,6 @@ def _race(p: np.ndarray, h: int, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate([winners, pad])
 
 
-def feedback_probabilities(u: np.ndarray, v: np.ndarray, beta: float,
-                           epsilon: float, clamp: bool = True) -> tuple[float, float]:
-    """Positive/negative feedback probabilities for one user-item pair.
-
-    The raw pair always sums to exactly 1; with ``clamp`` (the default) each
-    side is clipped to [0, 1] and the pair renormalized so the two-outcome
-    draw stays well defined when the leniency shift pushes one side out of
-    range near |score| -> 1.
-    """
-    d = float(np.dot(u, v))
-    pos, neg = _feedback_pair(np.array([d]), beta, epsilon, clamp)
-    return float(pos[0]), float(neg[0])
-
-
 def _feedback_pair(dots: np.ndarray, beta: float, epsilon: float,
                    clamp: bool = True) -> tuple[np.ndarray, np.ndarray]:
     # np.minimum/np.maximum, not np.clip: same values, and np.clip's Python
@@ -159,66 +123,20 @@ def _feedback_pair(dots: np.ndarray, beta: float, epsilon: float,
     return p_pos / total, p_neg / total
 
 
-def draw_feedback(rng: np.random.Generator, p_pos: float) -> int:
-    """+1 with probability p_pos, else -1."""
-    if not 0.0 <= p_pos <= 1.0:
-        raise InvalidRequest(f"p_pos must lie in [0, 1], got {p_pos}")
-    return 1 if rng.random() < p_pos else -1
-
-
-def update_user(u: np.ndarray, slate_items: Sequence[int],
-                signs: Sequence[float], catalog: ItemCatalog,
-                eta: float, h: int) -> np.ndarray:
-    """u + (eta/h) * sum of signed item vectors; no renormalization."""
-    items = np.asarray(slate_items, dtype=int)
-    w = np.asarray(signs, dtype=float)
-    if items.size != h or w.size != h:
-        raise InvalidRequest(f"expected {h} items and signs")
-    return np.asarray(u, dtype=float) + (eta / h) * (catalog.item_vectors[:, items] @ w)
-
-
-@dataclass
-class RecommendationSlate:
-    """Ordered list of h distinct items shown to one user in one step."""
-
-    user: int
-    items: np.ndarray
-    probabilities_used: np.ndarray | None = None
-    padded: bool = False
-
-
-@dataclass(frozen=True)
-class FeedbackRecord:
-    user: int
-    item: int
-    sign: int
-    p_pos_used: float
-
-
 @dataclass
 class StepLog:
-    """Everything drawn during one step: slates, signs, and the p_pos used.
+    """Everything drawn during one step, as arrays over users.
 
-    Signs and probabilities are stored as (n, h) arrays; ``feedback``
-    materializes the per-user FeedbackRecord lists on demand.
+    ``probabilities`` holds each user's softmax over the catalog as a column
+    when the step was asked to record it, and is None otherwise.
     """
 
     t: int
-    slates: list[RecommendationSlate]
     slate_items: np.ndarray        # (n, h) int
     signs: np.ndarray              # (n, h) int8
     p_pos: np.ndarray              # (n, h) float
-    padded: np.ndarray             # (n,) bool, the slates' padded flags
-
-    @property
-    def feedback(self) -> list[list[FeedbackRecord]]:
-        return [self.feedback_records(i) for i in range(len(self.slates))]
-
-    def feedback_records(self, i: int) -> list[FeedbackRecord]:
-        return [
-            FeedbackRecord(i, int(item), int(sign), float(pp))
-            for item, sign, pp in zip(self.slate_items[i], self.signs[i], self.p_pos[i])
-        ]
+    padded: np.ndarray             # (n,) bool, slates padded from zero-mass items
+    probabilities: np.ndarray | None = None    # (m, n) float
 
 
 class StrategyHooks:
@@ -257,6 +175,11 @@ class StrategyHooks:
 
 def _social_matrix(user_matrix: np.ndarray, graph: SocialGraph,
                    gamma: float) -> np.ndarray:
+    """Each column blends the user's vector with the mean of its neighbors'.
+
+    The mean is a row of the influence matrix, so an isolated user's own
+    vector stands in; at gamma 1 the graph is not read at all.
+    """
     if gamma == 1.0:
         return user_matrix
     neighbor_means = (graph.influence_matrix @ user_matrix.T).T
@@ -299,10 +222,10 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
             raise InvalidRequest(
                 f"candidate pool {sample_size} smaller than list length {h}")
 
-    slates: list[RecommendationSlate] = []
     slate_items = np.empty((n, h), dtype=np.int64)
     uniforms = np.empty((n, h))
     padded = np.empty(n, dtype=bool)
+    probabilities = np.empty((m, n)) if record_probabilities else None
 
     # Blocks of about BLOCK_ENTRIES // m users. None has a single user unless
     # n == 1: a one-column matmul (gemv) and column sum round differently, and
@@ -311,13 +234,12 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     for lo, hi in zip(starts, [*starts[1:], n]):
         probs = _softmax((V.T @ social[:, lo:hi]) * alphas[None, lo:hi])   # (m, block)
         padded[lo:hi] = (probs > 0).sum(axis=0) < sample_size
+        if probabilities is not None:
+            probabilities[:, lo:hi] = probs
         streams = [splitter.user_stream(states.t, i) for i in range(lo, hi)]
         pools = sample_without_replacement(probs.T, sample_size, streams)
-        for r, i in enumerate(range(lo, hi)):
-            streams[r].random(out=uniforms[i])
-            recorded = probs[:, r].copy() if record_probabilities else None
-            # slate_items[i] is a view, filled below
-            slates.append(RecommendationSlate(i, slate_items[i], recorded, bool(padded[i])))
+        for stream, row in zip(streams, uniforms[lo:hi]):
+            stream.random(out=row)
         reranked = hooks.rerank(U[:, lo:hi], pools, catalog, h)   # draws nothing
         items = pools if reranked is None else np.asarray(reranked, dtype=np.int64)
         if items.shape != (hi - lo, h):
@@ -338,8 +260,8 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     # In the memory order of U: the metrics round differently by layout.
     new_U = np.add(U, (params.eta / h) * moves.T, out=np.empty_like(U))
 
-    log = StepLog(t=states.t, slates=slates, slate_items=slate_items,
-                  signs=signs, p_pos=p_pos, padded=padded)
+    log = StepLog(t=states.t, slate_items=slate_items, signs=signs,
+                  p_pos=p_pos, padded=padded, probabilities=probabilities)
     return UserStates(new_U, states.t + 1), log
 
 
@@ -371,8 +293,7 @@ def run(initial_states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
         master_seed: int = 0,
         settings: MetricSettings | None = None,
         snapshot_steps: Iterable[int] = (),
-        keep_step_logs: bool = False,
-        record_probabilities: bool = False) -> Trajectory:
+        keep_step_logs: bool = False) -> Trajectory:
     """Apply ``simulate_step`` T times, evaluating metrics on schedule.
 
     Metrics at step t are computed from U(t) together with the slates drawn
@@ -397,9 +318,8 @@ def run(initial_states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     for t in range(T):
         if t in snap_at:
             snapshots[t] = states.user_matrix.copy()
-        new_states, log = simulate_step(
-            states, catalog, graph, params, splitter, hooks,
-            record_probabilities=record_probabilities)
+        new_states, log = simulate_step(states, catalog, graph, params,
+                                        splitter, hooks)
         padded += int(log.padded.sum())
         if t in schedule:
             records.append(compute_metrics_record(

@@ -330,22 +330,31 @@ class RunSummary:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunSummary":
-        return cls(
-            seeds=tuple(data["seeds"]),
-            steps=int(data["steps"]),
-            schedule=tuple(data["schedule"]),
-            burn_in=int(data["burn_in"]),
-            k_used=int(data["k_used"]),
-            pdv_mode=data["pdv_mode"],
-            stats={
-                name: MetricStats(
-                    mean=s["mean"], std=s["std"], ci95=s["ci95"],
-                    per_seed=tuple(s["per_seed"]))
-                for name, s in data["stats"].items()
-            },
-            series={name: tuple(vals) for name, vals in data["series"].items()},
-            config=data["config"],
-        )
+        """Inverse of ``to_json_dict``; a malformed summary raises ParseError."""
+        if not isinstance(data, dict):
+            raise ParseError(f"summary must be a JSON object, not {type(data).__name__}")
+        try:
+            return cls(
+                seeds=tuple(data["seeds"]),
+                steps=int(data["steps"]),
+                schedule=tuple(data["schedule"]),
+                burn_in=int(data["burn_in"]),
+                k_used=int(data["k_used"]),
+                pdv_mode=data["pdv_mode"],
+                stats={
+                    name: MetricStats(
+                        mean=s["mean"], std=s["std"], ci95=s["ci95"],
+                        per_seed=tuple(float(x) for x in s["per_seed"]))
+                    for name, s in ((name, data["stats"][name])
+                                    for name in METRIC_NAMES)
+                },
+                series={name: tuple(vals) for name, vals in data["series"].items()},
+                config=data["config"],
+            )
+        except KeyError as exc:
+            raise ParseError(f"summary lacks key {exc.args[0]!r}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ParseError(f"malformed summary: {exc}") from exc
 
 
 def _metric_schedule(config: ExperimentConfig) -> list[int]:

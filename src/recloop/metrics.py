@@ -158,15 +158,6 @@ def ts_at_k(states, k: int, chunk: int = 1024) -> float:
     return float(per_user.mean())
 
 
-def dispersion(u: np.ndarray) -> float:
-    """Squared deviation of the normalized vector from its coordinate mean."""
-    v = np.asarray(u, dtype=float)
-    norm = np.linalg.norm(v)
-    if norm > 0:
-        v = v / norm
-    return float(((v - v.mean()) ** 2).sum())
-
-
 def dispersions(matrix: np.ndarray) -> np.ndarray:
     """Column-wise dispersion of a (c, n) matrix, normalized on read."""
     un = normalize_columns(np.asarray(matrix, dtype=float))

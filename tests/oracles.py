@@ -2,6 +2,7 @@
 the engine's kernels against. The engine never calls them."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from recloop import UserStates
 from recloop.catalog import ItemCatalog, SocialGraph
@@ -63,7 +64,7 @@ def sar_social_representation(states, graph: SocialGraph, i: int, gamma: float,
     u = matrix[:, i]
     if gamma == 1.0 or graph.isolated[i]:
         return u.copy()
-    nb = graph.neighbor_lists[i]
+    nb = graph.edge_array[graph.edge_array[:, 0] == i, 1]
     dis = np.asarray(dispersion_values, dtype=float)[nb]
     log_w = -omega * dis
     w = np.exp(log_w - log_w.max())
@@ -76,3 +77,33 @@ def sar_social_representation(states, graph: SocialGraph, i: int, gamma: float,
     else:
         agg = (matrix[:, nb] @ w) / w.sum()
     return gamma * u + (1.0 - gamma) * agg
+
+
+def dispersion(u: np.ndarray) -> float:
+    """Squared deviation of the normalized vector from its coordinate mean."""
+    v = np.asarray(u, dtype=float)
+    norm = np.linalg.norm(v)
+    if norm > 0:
+        v = v / norm
+    return float(((v - v.mean()) ** 2).sum())
+
+
+def influence_reference(edge_array: np.ndarray, n: int):
+    """Isolated flags and influence matrix built one user at a time from the
+    deduplicated, lexicographically sorted edge array."""
+    neighbor_lists = [edge_array[edge_array[:, 0] == i, 1] for i in range(n)]
+    isolated = np.array([len(nb) == 0 for nb in neighbor_lists], dtype=bool)
+    rows, cols, vals = [], [], []
+    for i, nb in enumerate(neighbor_lists):
+        if len(nb) == 0:
+            rows.append(i)
+            cols.append(i)
+            vals.append(1.0)
+        else:
+            w = 1.0 / len(nb)
+            rows.extend([i] * len(nb))
+            cols.extend(nb.tolist())
+            vals.extend([w] * len(nb))
+    influence = sp.csr_matrix(
+        (np.array(vals), (np.array(rows), np.array(cols))), shape=(n, n))
+    return isolated, influence

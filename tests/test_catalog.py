@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recloop import (
@@ -10,7 +10,6 @@ from recloop import (
     ModelParams,
     build_item_vector,
     build_social_graph,
-    category_mass,
     init_user_from_history,
     init_user_random,
 )
@@ -20,6 +19,8 @@ from recloop.errors import (
     InvalidItem,
     InvalidRequest,
 )
+
+from oracles import influence_reference
 
 
 class TestBuildItemVector:
@@ -47,22 +48,22 @@ class TestBuildItemVector:
 class TestCategoryMass:
     def test_counts_single_category_items(self):
         cat = ItemCatalog.from_category_sets([(0,), (0,), (0,)], 2)
-        np.testing.assert_array_equal(category_mass(cat), [3, 0])
+        np.testing.assert_array_equal(cat.category_mass, [3, 0])
 
     def test_multi_category_masses(self):
         cat = ItemCatalog.from_category_sets([(0,), (1,), (0, 1)], 2)
-        np.testing.assert_allclose(category_mass(cat),
+        np.testing.assert_allclose(cat.category_mass,
                                    [1 + np.sqrt(0.5), 1 + np.sqrt(0.5)])
 
     def test_empty_catalog(self):
         cat = ItemCatalog.from_category_sets([], 3)
-        np.testing.assert_array_equal(category_mass(cat), [0, 0, 0])
+        np.testing.assert_array_equal(cat.category_mass, [0, 0, 0])
 
     def test_single_category_masses_sum_to_m(self):
         rng = np.random.default_rng(7)
         sets = [(int(rng.integers(0, 5)),) for _ in range(40)]
         cat = ItemCatalog.from_category_sets(sets, 5)
-        assert category_mass(cat).sum() == pytest.approx(40, abs=1e-12)
+        assert cat.category_mass.sum() == pytest.approx(40, abs=1e-12)
 
     @given(st.lists(st.sets(st.integers(0, 5), min_size=1, max_size=3),
                     min_size=1, max_size=30))
@@ -172,6 +173,28 @@ class TestBuildSocialGraph:
         g = build_social_graph(edges, 20)
         np.testing.assert_allclose(
             np.asarray(g.influence_matrix.sum(axis=1)).ravel(), 1.0, atol=1e-12)
+
+    @given(n=st.integers(1, 30),
+           pairs=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
+                          max_size=80))
+    @example(n=1, pairs=[])
+    @example(n=1, pairs=[(0, 0)])
+    @example(n=4, pairs=[(2, 1), (0, 3), (2, 1), (3, 3), (0, 1)])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_user_construction(self, n, pairs):
+        """Bit-equal to building each user's row from its own neighbor list,
+        with duplicate pairs, self-pairs and empty edge sets in the input."""
+        pairs = [(i % n, j % n) for i, j in pairs]
+        g = build_social_graph(pairs, n)
+        expected = sorted({(i, j) for i, j in pairs if i != j})
+        np.testing.assert_array_equal(g.edge_array,
+                                      np.array(expected, dtype=np.int64).reshape(-1, 2))
+        isolated, influence = influence_reference(g.edge_array, n)
+        np.testing.assert_array_equal(g.isolated, isolated)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(g.influence_matrix, name), getattr(influence, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 class TestModelParams:

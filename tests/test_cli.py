@@ -117,6 +117,29 @@ class TestCompare:
         assert {row["metric"] for row in table} == \
             {"rce", "ra", "nd", "pdv", "ts_at_k"}
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda summary: {"seeds": [1]}, "lacks key 'steps'"),
+        (lambda summary: [1, 2], "must be a JSON object"),
+        (lambda summary: {**summary, "stats": {}}, "lacks key 'rce'"),
+        (lambda summary: {**summary, "stats": {
+            **summary["stats"], "pdv": {**summary["stats"]["pdv"], "per_seed": ["x"]}}},
+         "malformed summary"),
+    ])
+    def test_malformed_summary_exits_2(self, tmp_path, capsys, mutate, message):
+        good = tmp_path / "good" / "summary.json"
+        run_cli("simulate", *BASE, "--seed", "1", "--out-dir", str(good.parent))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(mutate(json.loads(good.read_text()))))
+        code = run_cli("compare", "--candidate", str(bad), "--baseline", str(good))
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_missing_summary_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        code = run_cli("compare", "--candidate", missing, "--baseline", missing)
+        assert code == 2
+        assert "nope.json" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_emits_dataset_files(self, tmp_path):

@@ -13,16 +13,11 @@ from recloop import (
     StreamSplitter,
     UserStates,
     build_social_graph,
-    draw_feedback,
-    feedback_probabilities,
-    recommendation_distribution,
     run,
     sample_without_replacement,
     simulate_step,
-    social_representation,
-    update_user,
 )
-from recloop.dynamics import StrategyHooks, _feedback_pair, _social_matrix
+from recloop.dynamics import StrategyHooks, _feedback_pair, _social_matrix, _softmax
 from recloop.errors import InvalidRequest, NumericalError
 from recloop.mitigation import MitigationConfig, build_hooks
 
@@ -39,46 +34,68 @@ class TestSocialRepresentation:
         self.U = np.array([[1.0, 0.0], [0.0, 1.0]])
         self.graph = build_social_graph({(0, 1)}, 2)
 
+    def social(self, i, gamma):
+        return _social_matrix(self.U, self.graph, gamma)[:, i]
+
     def test_gamma_one_returns_own_vector(self):
-        np.testing.assert_array_equal(
-            social_representation(self.U, self.graph, 0, 1.0), [1, 0])
+        np.testing.assert_array_equal(self.social(0, 1.0), [1, 0])
 
     def test_gamma_zero_single_neighbor(self):
-        np.testing.assert_array_equal(
-            social_representation(self.U, self.graph, 0, 0.0), [0, 1])
+        np.testing.assert_array_equal(self.social(0, 0.0), [0, 1])
 
     def test_blend(self):
-        s = social_representation(self.U, self.graph, 0, 0.5)
-        np.testing.assert_allclose(s, [0.5, 0.5])
+        np.testing.assert_allclose(self.social(0, 0.5), [0.5, 0.5])
 
     def test_isolated_user_gets_own_vector(self):
-        s = social_representation(self.U, self.graph, 1, 0.0)
-        np.testing.assert_array_equal(s, [0, 1])
+        np.testing.assert_array_equal(self.social(1, 0.0), [0, 1])
+
+    @given(n=st.integers(1, 12), pairs=st.lists(
+               st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40),
+           gamma=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_columns_equal_neighbor_mean_from_edges(self, n, pairs, gamma, seed):
+        """Each column is gamma * u_i + (1 - gamma) * the plain mean of the
+        neighbors that ``edge_array`` lists for i (u_i itself if none)."""
+        graph = build_social_graph({(i % n, j % n) for i, j in pairs}, n)
+        U = np.random.default_rng(seed).standard_normal((3, n))
+        social = _social_matrix(U, graph, gamma)
+        for i in range(n):
+            nb = graph.edge_array[graph.edge_array[:, 0] == i, 1]
+            mean = U[:, nb].mean(axis=1) if nb.size else U[:, i]
+            np.testing.assert_allclose(social[:, i],
+                                       gamma * U[:, i] + (1 - gamma) * mean,
+                                       rtol=0, atol=1e-12)
+
+
+def softmax_slate(s, catalog, alpha):
+    """The engine's recommendation distribution for one blended vector s."""
+    with np.errstate(invalid="ignore"):
+        return _softmax(alpha * (catalog.item_vectors.T @ np.asarray(s, dtype=float)))
 
 
 class TestRecommendationDistribution:
     def test_alpha_zero_is_uniform(self):
         cat = single_category_catalog([3, 2])
-        p = recommendation_distribution(np.array([0.3, -0.2]), cat, 0.0)
+        p = softmax_slate(np.array([0.3, -0.2]), cat, 0.0)
         np.testing.assert_allclose(p, 0.2)
 
     def test_two_item_logistic_value(self):
         cat = ItemCatalog.from_category_sets([(0,), (1,)], 2)
-        p = recommendation_distribution(np.array([1.0, 0.0]), cat, 1.0)
+        p = softmax_slate(np.array([1.0, 0.0]), cat, 1.0)
         e = np.e
         np.testing.assert_allclose(p, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
 
     def test_large_alpha_peaks_on_argmax(self):
         cat = single_category_catalog([1, 9])
-        p = recommendation_distribution(np.array([1.0, 0.0]), cat, 1e3)
+        p = softmax_slate(np.array([1.0, 0.0]), cat, 1e3)
         assert p[0] > 0.999
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(0)
         cat = single_category_catalog([7, 5, 8])
         for _ in range(20):
-            p = recommendation_distribution(rng.standard_normal(3), cat,
-                                            float(rng.uniform(0, 30)))
+            p = softmax_slate(rng.standard_normal(3), cat,
+                              float(rng.uniform(0, 30)))
             assert abs(p.sum() - 1.0) <= 1e-12
 
     def test_shift_invariance(self):
@@ -87,14 +104,14 @@ class TestRecommendationDistribution:
         single-category catalogs (it shifts every v_j.s equally)."""
         cat = single_category_catalog([4, 4, 4])
         s = np.array([0.5, -0.1, 0.3])
-        p1 = recommendation_distribution(s, cat, 2.0)
-        p2 = recommendation_distribution(s + 10.0, cat, 2.0)
+        p1 = softmax_slate(s, cat, 2.0)
+        p2 = softmax_slate(s + 10.0, cat, 2.0)
         np.testing.assert_allclose(p1, p2, atol=1e-12)
 
     def test_nonfinite_scores_raise(self):
         cat = single_category_catalog([2, 2])
         with pytest.raises(NumericalError):
-            recommendation_distribution(np.array([np.inf, 0.0]), cat, 1.0)
+            softmax_slate(np.array([np.inf, 0.0]), cat, 1.0)
 
 
 class TestSampleWithoutReplacement:
@@ -167,21 +184,22 @@ class TestSampleWithoutReplacement:
         assert np.all(np.abs(freq - expect) <= 4.4 * sd + bias)
 
 
+def feedback_pair(d, beta, epsilon):
+    """The engine's clamped (p_pos, p_neg) for one user-item dot product."""
+    pos, neg = _feedback_pair(np.array([d]), beta, epsilon)
+    return float(pos[0]), float(neg[0])
+
+
 class TestFeedbackProbabilities:
     def test_symmetric_point_with_shift(self):
-        u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])   # d = 0
-        assert feedback_probabilities(u, v, 5.0, 0.2) == (0.6, 0.4)
+        assert feedback_pair(0.0, 5.0, 0.2) == (0.6, 0.4)
 
     def test_half_alignment_beta_one(self):
-        u, v = np.array([0.5, 0.0]), np.array([1.0, 0.0])   # d = 0.5
-        pos, neg = feedback_probabilities(u, v, 1.0, 0.0)
-        assert (pos, neg) == (0.75, 0.25)
+        assert feedback_pair(0.5, 1.0, 0.0) == (0.75, 0.25)
 
     def test_beta_zero_is_random(self):
         for d in (-0.9, -0.1, 0.4, 0.99):
-            pos, neg = feedback_probabilities(np.array([d]), np.array([1.0]),
-                                              0.0, 0.0)
-            assert (pos, neg) == (0.5, 0.5)
+            assert feedback_pair(d, 0.0, 0.0) == (0.5, 0.5)
 
     def test_pair_sums_to_one_preclamp(self):
         for d in np.linspace(-0.99, 0.99, 21):
@@ -194,12 +212,10 @@ class TestFeedbackProbabilities:
     def test_monotone_in_beta(self):
         betas = [0.0, 1.0, 2.0, 5.0, 10.0]
         for d in (0.1, 0.5, 0.9):
-            vals = [feedback_probabilities(np.array([d]), np.array([1.0]),
-                                           b, 0.0)[0] for b in betas]
+            vals = [feedback_pair(d, b, 0.0)[0] for b in betas]
             assert all(x <= y + 1e-15 for x, y in zip(vals, vals[1:]))
         for d in (-0.1, -0.5, -0.9):
-            vals = [feedback_probabilities(np.array([d]), np.array([1.0]),
-                                           b, 0.0)[0] for b in betas]
+            vals = [feedback_pair(d, b, 0.0)[0] for b in betas]
             assert all(x >= y - 1e-15 for x, y in zip(vals, vals[1:]))
 
     def test_mirror_symmetry_with_small_epsilon(self):
@@ -211,56 +227,80 @@ class TestFeedbackProbabilities:
 
     def test_clamped_pair_in_range(self):
         # eps pushes the raw pair out of [0,1] near |d| = 1
-        pos, neg = feedback_probabilities(np.array([0.999999]),
-                                          np.array([1.0]), 8.0, 0.5)
+        pos, neg = feedback_pair(0.999999, 8.0, 0.5)
         assert 0.0 <= pos <= 1.0 and 0.0 <= neg <= 1.0
         assert abs(pos + neg - 1.0) <= 1e-12
 
     def test_huge_beta_and_out_of_range_dot_are_finite(self):
-        pos, neg = feedback_probabilities(np.array([3.0]), np.array([1.0]),
-                                          200.0, 0.0)
+        pos, neg = feedback_pair(3.0, 200.0, 0.0)
         assert np.isfinite(pos) and np.isfinite(neg)
         assert pos == 1.0 and neg == 0.0
 
 
+def one_user_step(u, category_sets, c, seed=0, **knobs):
+    """One engine step of a single isolated user whose slate is the whole
+    catalog (h = m), returning (new u, signs)."""
+    catalog = ItemCatalog.from_category_sets(category_sets, c)
+    params = ModelParams(h=catalog.m, **knobs)
+    states = UserStates(np.array(u, dtype=float)[:, None], 0)
+    new_states, log = simulate_step(states, catalog, build_social_graph(set(), 1),
+                                    params, seed)
+    return new_states.user_matrix[:, 0], log.signs[0]
+
+
 class TestDrawFeedback:
+    """beta = 0 makes p_pos = 1/2 + epsilon/2, whatever the dot product."""
+
     def test_certain_outcomes(self):
-        rng = np.random.default_rng(0)
-        assert draw_feedback(rng, 1.0) == 1
-        assert draw_feedback(rng, 0.0) == -1
+        sets = [(0,), (1,), (0, 1)]
+        for eps, sign in ((1.0, 1), (-1.0, -1)):
+            for seed in range(5):
+                _, signs = one_user_step([0.6, -0.8], sets, 2, seed,
+                                         beta=0.0, epsilon=eps)
+                np.testing.assert_array_equal(signs, [sign] * 3)
 
     def test_frequency(self):
-        rng = np.random.default_rng(1)
-        draws = [draw_feedback(rng, 0.75) for _ in range(100_000)]
-        frac = np.mean([d == 1 for d in draws])
+        catalog = single_category_catalog([10, 10])
+        params = ModelParams(beta=0.0, epsilon=0.5, h=20)     # p_pos = 0.75
+        n = 5000
+        states = UserStates(np.tile([[0.6], [0.8]], (1, n)), 0)
+        _, log = simulate_step(states, catalog, build_social_graph(set(), n),
+                               params, 1)
+        assert np.all(log.p_pos == 0.75)
+        frac = np.mean(log.signs == 1)
         assert abs(frac - 0.75) <= 0.005
-
-    def test_domain_check(self):
-        with pytest.raises(InvalidRequest):
-            draw_feedback(np.random.default_rng(0), 1.5)
 
 
 class TestUpdateUser:
-    def setup_method(self):
-        self.catalog = single_category_catalog([2, 2])
+    """u + (eta/h) * the signed sum of the slate's item vectors, no
+    renormalization; the slate is the whole catalog."""
 
     def test_all_positive_same_item(self):
-        u = np.array([0.2, 0.3])
-        out = update_user(u, [0, 0, 0], [1, 1, 1], self.catalog, 0.1, 3)
-        np.testing.assert_allclose(out, [0.3, 0.3])
+        new_u, _ = one_user_step([0.2, 0.3], [(0,)] * 3, 2, beta=0.0,
+                                 epsilon=1.0, eta=0.1)
+        np.testing.assert_allclose(new_u, [0.3, 0.3])
 
     def test_cancellation(self):
+        """Opposite signs on two items of one category cancel exactly; with
+        p_pos = 1/2 some of the first 20 seeds draw them."""
         u = np.array([0.2, 0.3])
-        out = update_user(u, [0, 0], [1, -1], self.catalog, 0.5, 2)
-        np.testing.assert_allclose(out, u)
+        cancelled = 0
+        for seed in range(20):
+            new_u, signs = one_user_step(u, [(0,), (0,)], 2, seed, beta=0.0,
+                                         epsilon=0.0, eta=0.5)
+            expected = u + 0.25 * signs.sum() * np.array([1.0, 0.0])
+            np.testing.assert_allclose(new_u, expected, rtol=0, atol=1e-15)
+            if signs[0] != signs[1]:
+                np.testing.assert_array_equal(new_u, u)
+                cancelled += 1
+        assert cancelled > 0
 
     def test_mixed_signs(self):
-        out = update_user(np.zeros(2), [0, 2], [1, -1], self.catalog, 0.2, 2)
-        np.testing.assert_allclose(out, [0.1, -0.1])
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidRequest):
-            update_user(np.zeros(2), [0], [1, -1], self.catalog, 0.1, 2)
+        """A huge beta makes p_pos 1 on the item u leans to and 0 on the other."""
+        new_u, signs = one_user_step([0.001, -0.001], [(0,), (1,)], 2,
+                                     beta=1e6, epsilon=0.0, eta=0.2)
+        np.testing.assert_array_equal(signs, [1, -1])
+        np.testing.assert_allclose(new_u, [0.101, -0.101])
 
 
 def tiny_world(n=4, m=30, c=3, links=6, seed=0):
@@ -338,9 +378,7 @@ def assert_same_step(states, catalog, graph, params, seed, hooks=None):
     np.testing.assert_array_equal(log.signs, signs)
     np.testing.assert_array_equal(log.p_pos, p_pos)
     np.testing.assert_array_equal(log.padded, padded)
-    assert [s.padded for s in log.slates] == padded.tolist()
-    np.testing.assert_array_equal(
-        np.stack([s.probabilities_used for s in log.slates], axis=1), probs)
+    np.testing.assert_array_equal(log.probabilities, probs)
     np.testing.assert_array_equal(new_states.user_matrix, new_U)
     assert new_states.user_matrix.flags.c_contiguous
     return log
@@ -411,12 +449,10 @@ class TestBlockedStep:
             dynamics.BLOCK_ENTRIES = saved
         (first_states, first), rest = outs[0], outs[1:]
         for new_states, log in rest:
-            for name in ("slate_items", "signs", "p_pos", "padded"):
+            for name in ("slate_items", "signs", "p_pos", "padded",
+                         "probabilities"):
                 np.testing.assert_array_equal(getattr(log, name),
                                               getattr(first, name))
-            for a, b in zip(log.slates, first.slates):
-                np.testing.assert_array_equal(a.probabilities_used,
-                                              b.probabilities_used)
             np.testing.assert_array_equal(new_states.user_matrix,
                                           first_states.user_matrix)
 
@@ -462,8 +498,8 @@ class TestSimulateStep:
         np.testing.assert_array_equal(out[0].slate_items, out[1].slate_items)
         np.testing.assert_array_equal(out[0].signs, out[1].signs)
         np.testing.assert_array_equal(out[0].p_pos, out[1].p_pos)
-        np.testing.assert_array_equal(out[0].slates[2].probabilities_used,
-                                      out[1].slates[2].probabilities_used)
+        np.testing.assert_array_equal(out[0].probabilities[:, 2],
+                                      out[1].probabilities[:, 2])
 
     def test_gamma_one_never_reads_graph(self):
         catalog, _, states = tiny_world()
@@ -482,9 +518,8 @@ class TestSimulateStep:
         assert log.slate_items.shape == (4, 7)
         for row in log.slate_items:
             assert len(set(row.tolist())) == 7
-        recs = log.feedback_records(0)
-        assert len(recs) == 7
-        assert all(r.sign in (-1, 1) for r in recs)
+        assert log.signs.shape == (4, 7)
+        assert set(log.signs.ravel().tolist()) <= {-1, 1}
 
     def test_per_user_update_weights_hook_rejected(self):
         """update_weights gets the (n, h) signs of a whole step; a hook that
@@ -529,7 +564,7 @@ class TestSimulateStep:
         params = ModelParams(alpha=0.8, beta=1.5, epsilon=0.1, gamma=1.0,
                              eta=0.2, h=3)
         u = states.user_matrix[:, 0]
-        p = recommendation_distribution(u, catalog, params.alpha)
+        p = softmax_slate(u, catalog, params.alpha)
 
         # inclusion probabilities for the race sampler, high-precision MC
         rng = np.random.default_rng(99)

@@ -15,7 +15,7 @@ from recloop import (
     build_social_graph,
     dpp_rerank,
 )
-from recloop.dynamics import simulate_step, social_representation
+from recloop.dynamics import _social_matrix, simulate_step
 from recloop.metrics import category_entropy, dispersions
 from recloop.mitigation import (
     DiversityRerankHooks,
@@ -277,7 +277,7 @@ class TestSarSocialRepresentation:
     def test_omega_zero_recovers_plain_mean(self):
         dis = np.array([0.3, 0.8, 0.2])
         s = sar_social_representation(self.U, self.graph, 0, 0.4, 0.0, dis)
-        expected = social_representation(self.U, self.graph, 0, 0.4)
+        expected = _social_matrix(self.U, self.graph, 0.4)[:, 0]
         np.testing.assert_allclose(s, expected, atol=1e-15)
 
     def test_weight_concentrates_on_low_dispersion_neighbor(self):
