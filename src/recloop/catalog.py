@@ -8,6 +8,7 @@ interaction history or random init) and evolve unnormalized afterwards.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -149,17 +150,17 @@ def build_social_graph(edges: Iterable[tuple[int, int]], n: int) -> SocialGraph:
     deduplicated and self-pairs ignored; isolated users receive a self-loop
     influence row.
     """
-    pairs = set()
-    for i, j in edges:
-        i, j = int(i), int(j)
-        if i < 0 or i >= n or j < 0 or j >= n:
-            raise IndexOutOfRange(f"edge ({i},{j}) out of range for n={n}")
-        if i != j:
-            pairs.add((i, j))
-    if pairs:
-        edge_array = np.array(sorted(pairs), dtype=np.int64)
-    else:
-        edge_array = np.zeros((0, 2), dtype=np.int64)
+    pairs = np.fromiter(itertools.chain.from_iterable(edges),
+                        dtype=np.int64).reshape(-1, 2)
+    bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if bad.any():
+        i, j = pairs[np.argmax(bad)]
+        raise IndexOutOfRange(f"edge ({i},{j}) out of range for n={n}")
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    # Sorted i*n + j keys are the pairs in lexicographic order.
+    keys = np.sort(pairs[:, 0] * n + pairs[:, 1])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    edge_array = np.stack(np.divmod(keys, n), axis=1)
 
     srcs, dsts = edge_array[:, 0], edge_array[:, 1]
     degree = np.bincount(srcs, minlength=n)

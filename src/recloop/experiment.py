@@ -451,9 +451,9 @@ def summarize(config: ExperimentConfig, schedule: Sequence[int], k_used: int,
         per_seed = rows[:, keep_mask].mean(axis=1)
         mean = float(per_seed.mean())
         if len(config.seeds) >= 2:
-            import scipy.stats      # deferred: it costs about 1 s of import time
+            import scipy.special    # deferred: only multi-seed runs need it
             std = float(per_seed.std(ddof=1))
-            tcrit = float(scipy.stats.t.ppf(0.975, len(config.seeds) - 1))
+            tcrit = float(scipy.special.stdtrit(len(config.seeds) - 1, 0.975))
             ci95 = tcrit * std / math.sqrt(len(config.seeds))
         else:
             std = None

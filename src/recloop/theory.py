@@ -2,8 +2,10 @@
 
 The linearization replaces the softmax and the feedback law by their
 first-order expansions; the resulting update is exactly an affine map
-U -> X + Y U + Z U S~^T on the c x n user matrix. Convergence and the
-fixed point are analyzed on the vectorized nc-dimensional system.
+U -> x 1^T + Y U + Z U S~^T on the c x n user matrix. Because the drift x is
+the same for every user and S~ is row-stochastic, the fixed point is a
+consensus u 1^T with (I - Y - Z) u = x; its uniqueness is decided block by
+block over the spectrum of S~, without forming the nc x nc system.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .catalog import ItemCatalog, ModelParams, SocialGraph
 from .errors import DegenerateCatalog, InvalidRequest, SingularSystem
@@ -24,9 +25,9 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Affine-update operators X, Y, Z plus the influence matrix they act with."""
+    """Affine-update operators x, Y, Z plus the influence matrix they act with."""
 
-    X: np.ndarray                  # c x n
+    x: np.ndarray                  # c, the drift every user receives
     Y: np.ndarray                  # c x c
     Z: np.ndarray                  # c x c
     S_tilde: sp.csr_matrix         # n x n row-stochastic
@@ -37,7 +38,7 @@ def build_operators(catalog: ItemCatalog, graph: SocialGraph,
                     params: ModelParams) -> OperatorSet:
     """Assemble the affine-update operators from the item matrix and parameters.
 
-    With epsilon = 0 both X and Z vanish exactly and Y reduces to
+    With epsilon = 0 both x and Z vanish exactly and Y reduces to
     I + (eta*beta/m) V V^T, which is diagonal for single-category catalogs.
     """
     V = catalog.item_vectors
@@ -49,25 +50,25 @@ def build_operators(catalog: ItemCatalog, graph: SocialGraph,
     outer = np.outer(vsum, vsum)
 
     if e == 0.0:
-        X = np.zeros((catalog.c, graph.n))
+        x = np.zeros(catalog.c)
         Z = np.zeros((catalog.c, catalog.c))
         Y = np.eye(catalog.c) + (eta * b / m) * vvt
     else:
-        X = np.tile((eta * e / m) * vsum[:, None], (1, graph.n))
+        x = (eta * e / m) * vsum
         Y = (np.eye(catalog.c)
              + (eta * (a * e * g + b) / m) * vvt
              - (eta * a * e * g / m ** 2) * outer)
         Z = ((eta * a * e * (1 - g) / m) * vvt
              - (eta * a * e * (1 - g) / m ** 2) * outer)
-    return OperatorSet(X=X, Y=Y, Z=Z, S_tilde=graph.influence_matrix,
+    return OperatorSet(x=x, Y=Y, Z=Z, S_tilde=graph.influence_matrix,
                        params_used=params)
 
 
 def matrix_step(U: np.ndarray, ops: OperatorSet) -> np.ndarray:
-    """One application of the affine map X + Y U + Z U S~^T."""
+    """One application of the affine map x 1^T + Y U + Z U S~^T."""
     U = np.asarray(U, dtype=float)
     social = (ops.S_tilde @ (ops.Z @ U).T).T
-    return ops.X + ops.Y @ U + social
+    return ops.x[:, None] + ops.Y @ U + social
 
 
 def linearized_expected_update(U: np.ndarray, catalog: ItemCatalog,
@@ -100,36 +101,44 @@ class ConvergenceReport:
     """Margin test of the linearized dynamics' growth bound.
 
     ``margin`` is eta*(beta/2 + a*e*g/2 + beta^2/(8*a*e*g)); it is undefined
-    (degenerate) when alpha*epsilon*gamma <= 0, in which case the decision
-    falls back to the operator norm bound when operators are supplied.
-    A margin below 1 makes ``satisfied`` true; it certifies the bound on the
-    growth of Y - I and Z that ``growth_norm_bound`` documents, not
-    convergence of plain iteration: with beta > 0 the map expands along the
-    item span whatever the margin. A norm bound below 1, the other route to
-    ``satisfied``, is an infinity-norm contraction, which beta > 0 rules out.
+    (degenerate) when alpha*epsilon*gamma <= 0. It bounds the growth of
+    Y - I and Z that ``growth_norm_bound`` documents, not convergence of
+    plain iteration. With operators, ``consensus_radius`` is rho(Y + Z):
+    lambda = 1 is always in spec(S~), so it is the exact growth rate of the
+    consensus mode u 1^T, and a radius >= 1 means iteration cannot settle
+    whatever the margin. ``satisfied`` requires a margin or an
+    infinity-norm bound below 1, and a consensus radius below 1 when
+    operators are given.
     """
 
     margin: float | None
     norm_bound: float | None
+    consensus_radius: float | None
     satisfied: bool
     degenerate: bool
 
 
 def convergence_margin(params: ModelParams,
                        ops: OperatorSet | None = None) -> ConvergenceReport:
-    """Evaluate the margin (and the norm bound, given operators); see
-    ``ConvergenceReport`` for what ``satisfied`` does and does not certify."""
+    """Evaluate the margin (and, given operators, the norm bound and the
+    consensus radius); see ``ConvergenceReport`` for what ``satisfied``
+    does and does not certify."""
     aeg = params.alpha * params.epsilon * params.gamma
     degenerate = aeg <= 0
     margin = None
     if not degenerate:
         margin = params.eta * (params.beta / 2 + aeg / 2
                                + params.beta ** 2 / (8 * aeg))
-    norm_bound = infinity_norm_bound(ops) if ops is not None else None
-    satisfied = bool((margin is not None and margin < 1)
-                     or (norm_bound is not None and norm_bound < 1))
+    norm_bound = radius = None
+    if ops is not None:
+        norm_bound = infinity_norm_bound(ops)
+        radius = float(np.abs(np.linalg.eigvals(ops.Y + ops.Z)).max())
+    satisfied = bool(((margin is not None and margin < 1)
+                      or (norm_bound is not None and norm_bound < 1))
+                     and (radius is None or radius < 1))
     return ConvergenceReport(margin=margin, norm_bound=norm_bound,
-                             satisfied=satisfied, degenerate=degenerate)
+                             consensus_radius=radius, satisfied=satisfied,
+                             degenerate=degenerate)
 
 
 def infinity_norm_bound(ops: OperatorSet) -> float:
@@ -152,50 +161,53 @@ def growth_norm_bound(ops: OperatorSet) -> float:
                  + np.abs(ops.Z).sum(axis=1).max())
 
 
-def vec(U: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization (Fortran order)."""
-    return np.asarray(U).reshape(-1, order="F")
+def _shift_condition(S: sp.csr_matrix, lam: complex, dense: bool) -> float:
+    """Infinity-norm condition of S - lam I, dense or from a sparse LU."""
+    A = S - lam * sp.identity(S.shape[0], format="csr")
+    if dense:
+        return float(np.linalg.cond(A.toarray(), np.inf))
+    import scipy.sparse.linalg as spla    # deferred: only a shift in the disk needs it
+    try:
+        lu = spla.splu(A.T)               # CSC, and ||A^-1||_inf = ||A^-T||_1
+    except RuntimeError:                  # exactly singular
+        return math.inf
+    inverse = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype,
+                                  rmatvec=lambda b: lu.solve(b, "H"))
+    return float(spla.norm(A, np.inf) * spla.onenormest(inverse))
 
 
-def unvec(x: np.ndarray, c: int, n: int) -> np.ndarray:
-    return np.asarray(x).reshape((c, n), order="F")
-
-
-def fixed_point(ops: OperatorSet, dense_limit: int = DENSE_SOLVE_LIMIT,
+def fixed_point(ops: OperatorSet,
                 condition_limit: float = CONDITION_LIMIT) -> np.ndarray:
-    """Solve (I - (I (x) Y + S~ (x) Z)) vec(U*) = vec(X) for the fixed point.
+    """The consensus fixed point U* = u 1^T of U = x 1^T + Y U + Z U S~^T.
 
-    Systems up to ``dense_limit`` unknowns are solved densely with an explicit
-    condition estimate; larger ones use a matrix-free GMRES that never
-    materializes the Kronecker product. The returned U* always satisfies
-    the residual bound ||step(U*) - U*||_inf <= 1e-10 (1 + ||U*||_inf),
-    otherwise SingularSystem is raised.
+    S~ 1 = 1, so u 1^T is fixed exactly when M u = x with M = I - Y - Z.
+    It is the only fixed point when no block I - Y - lambda Z with lambda in
+    spec(S~) is singular: spec(I (x) Y + S~ (x) Z) is the union of
+    spec(Y + lambda Z). lambda = 1 gives M itself. Any other block equals
+    M (I + (1 - lambda) M^-1 Z), which is singular exactly when
+    lambda = 1 + 1/nu for an eigenvalue nu != 0 of M^-1 Z; only shifts in
+    the unit disk can be eigenvalues of the row-stochastic S~, and for each
+    the condition of S~ - lambda I decides. SingularSystem is raised when M
+    or one of those shifts has a condition above ``condition_limit``, or
+    when U* misses the residual bound ||step(U*) - U*||_inf <=
+    1e-10 (1 + ||U*||_inf).
     """
-    c, n = ops.X.shape
-    nc = n * c
-    b = vec(ops.X)
-
-    if nc <= dense_limit:
-        A = np.eye(nc) - (np.kron(np.eye(n), ops.Y)
-                          + np.kron(ops.S_tilde.toarray(), ops.Z))
-        cond = float(np.linalg.cond(A, 1))
-        if not np.isfinite(cond) or cond > condition_limit:
-            raise SingularSystem(
-                f"fixed-point system condition {cond:.3e} exceeds "
-                f"{condition_limit:.1e}", condition=cond)
-        star = unvec(np.linalg.solve(A, b), c, n)
-    else:
-        def apply(x):
-            U = unvec(x, c, n)
-            return x - vec(ops.Y @ U + (ops.S_tilde @ (ops.Z @ U).T).T)
-
-        op = spla.LinearOperator((nc, nc), matvec=apply)
-        x, info = spla.gmres(op, b, rtol=1e-13, atol=0.0,
-                             restart=200, maxiter=500)
-        if info != 0:
-            raise SingularSystem(
-                f"matrix-free solve did not converge (info={info})")
-        star = unvec(x, c, n)
+    c, n = ops.Y.shape[0], ops.S_tilde.shape[0]
+    M = np.eye(c) - ops.Y - ops.Z
+    cond = float(np.linalg.cond(M, 1))
+    if not cond <= condition_limit:
+        raise SingularSystem(f"I - Y - Z has condition {cond:.3e}", condition=cond)
+    nu = np.linalg.eigvals(np.linalg.solve(M, ops.Z))
+    # Keep the shifts lambda = 1 + 1/nu with |lambda| < 1 + 2 / (limit - 1).
+    # Farther out, cond_inf(S~ - lambda I) <= (|lambda| + 1) / (|lambda| - 1)
+    # <= limit certifies the block without a factorization.
+    near = np.abs(nu + 1) < (1 + 2 / (condition_limit - 1)) * np.abs(nu)
+    for lam in 1 + 1 / nu[near]:
+        cond = _shift_condition(ops.S_tilde, lam, n * c <= DENSE_SOLVE_LIMIT)
+        if not cond <= condition_limit:
+            raise SingularSystem(f"S~ - lambda I has condition {cond:.3e} at "
+                                 f"lambda = {lam:.6g}", condition=cond)
+    star = np.repeat(np.linalg.solve(M, ops.x)[:, None], n, axis=1)
 
     residual = float(np.max(np.abs(matrix_step(star, ops) - star)))
     scale = 1.0 + float(np.max(np.abs(star))) if star.size else 1.0

@@ -1,5 +1,6 @@
-"""Scalar, one-user forms of batched operations: the references tests check
-the engine's kernels against. The engine never calls them."""
+"""Scalar, one-user forms of batched operations and the general Kronecker
+form of the closed-form fixed point: the references tests check the
+program's kernels against. The program never calls them."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -107,3 +108,28 @@ def influence_reference(edge_array: np.ndarray, n: int):
     influence = sp.csr_matrix(
         (np.array(vals), (np.array(rows), np.array(cols))), shape=(n, n))
     return isolated, influence
+
+
+def vec(U: np.ndarray) -> np.ndarray:
+    """Column-stacking vectorization (Fortran order)."""
+    return np.asarray(U).reshape(-1, order="F")
+
+
+def unvec(x: np.ndarray, c: int, n: int) -> np.ndarray:
+    return np.asarray(x).reshape((c, n), order="F")
+
+
+def kronecker_fixed_point(ops) -> tuple[np.ndarray, float]:
+    """Fixed point of U = x 1^T + Y U + Z U S~^T from the dense nc x nc system
+    (I - I (x) Y - S~ (x) Z) vec(U) = vec(x 1^T), with the system's 1-norm
+    condition. I - I (x) Y is formed first, so a Z far below Y's unit
+    diagonal is not rounded away. The solution is meaningless when the
+    condition is infinite."""
+    c, n = ops.Y.shape[0], ops.S_tilde.shape[0]
+    A = ((np.eye(n * c) - np.kron(np.eye(n), ops.Y))
+         - np.kron(ops.S_tilde.toarray(), ops.Z))
+    cond = float(np.linalg.cond(A, 1))
+    if not np.isfinite(cond):
+        return np.full((c, n), np.nan), cond
+    b = vec(np.repeat(ops.x[:, None], n, axis=1))
+    return unvec(np.linalg.solve(A, b), c, n), cond

@@ -166,6 +166,11 @@ class TestBuildSocialGraph:
         with pytest.raises(IndexOutOfRange):
             build_social_graph({(0, 5)}, 3)
 
+    def test_error_names_first_bad_edge_in_input_order(self):
+        with pytest.raises(IndexOutOfRange,
+                           match=r"^edge \(2,5\) out of range for n=3$"):
+            build_social_graph([(0, 1), (2, 5), (1, 0), (0, -1)], 3)
+
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(11)
         edges = {(int(i), int(j)) for i, j in rng.integers(0, 20, (60, 2))

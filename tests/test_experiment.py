@@ -172,6 +172,13 @@ class TestRunExperiment:
         assert len(summary.stats["rce"].per_seed) == 3
         assert summary.stats["rce"].ci95 is not None
 
+    def test_ci95_is_the_student_t_interval(self):
+        import scipy.stats
+        summary = run_experiment(small_config(), None)
+        for stats in summary.stats.values():
+            tcrit = scipy.stats.t.ppf(0.975, 2)
+            assert stats.ci95 == tcrit * stats.std / np.sqrt(3)
+
     def test_byte_identical_reruns(self, tmp_path):
         config = small_config()
         run_experiment(config, tmp_path / "a")
@@ -349,5 +356,17 @@ def test_import_leaves_scipy_stats_unloaded():
     the across-seed statistics that use it."""
     env = dict(os.environ, PYTHONPATH=str(Path(recloop.__file__).parents[1]))
     code = "import sys, recloop; sys.exit('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert done.returncode == 0
+
+
+def test_multi_seed_run_leaves_scipy_stats_unloaded():
+    """The across-seed interval takes its t quantile from scipy.special."""
+    env = dict(os.environ, PYTHONPATH=str(Path(recloop.__file__).parents[1]))
+    code = ("import sys, recloop as rl\n"
+            "rl.run_experiment(rl.ExperimentConfig(seeds=(1, 2), steps=2, "
+            "synthetic=rl.SyntheticSpec(n=6, m=20, c=3, links=6), "
+            "params=rl.ModelParams(h=3), ts_k=2), None)\n"
+            "sys.exit('scipy.stats' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert done.returncode == 0

@@ -1,9 +1,17 @@
 """Affine-dynamics operators, convergence, fixed points, and scaling-map claims."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import recloop
 from recloop import (
     ItemCatalog,
     ModelParams,
@@ -18,8 +26,11 @@ from recloop import (
     matrix_step,
     steady_homogenization_check,
 )
-from recloop.theory import OperatorSet, growth_norm_bound, unvec, vec
+from recloop import theory
+from recloop.theory import OperatorSet, growth_norm_bound
 from recloop.errors import DegenerateCatalog, InvalidRequest, SingularSystem
+
+from oracles import kronecker_fixed_point, unvec, vec
 
 
 def random_instance(rng, n_max=10, c_max=5, m_max=50, multi=True):
@@ -43,7 +54,7 @@ class TestBuildOperators:
         cat = ItemCatalog.from_category_sets([(0,), (0,), (1,)], 2)
         graph = build_social_graph({(0, 1)}, 2)
         ops = build_operators(cat, graph, ModelParams(epsilon=0.0, h=1))
-        assert not ops.X.any() and not ops.Z.any()
+        assert not ops.x.any() and not ops.Z.any()
         expected_y = np.eye(2) + (0.1 * 5.0 / 3) * np.diag([2.0, 1.0])
         np.testing.assert_allclose(ops.Y, expected_y, atol=1e-15)
 
@@ -72,7 +83,7 @@ class TestBuildOperators:
 
 class TestMatrixStep:
     def test_identity_dynamics(self):
-        ops = OperatorSet(X=np.zeros((2, 3)), Y=np.eye(2), Z=np.zeros((2, 2)),
+        ops = OperatorSet(x=np.zeros(2), Y=np.eye(2), Z=np.zeros((2, 2)),
                           S_tilde=sp.csr_matrix(np.eye(3)),
                           params_used=ModelParams(h=1))
         U = np.arange(6.0).reshape(2, 3)
@@ -81,11 +92,11 @@ class TestMatrixStep:
     def test_self_loop_collapses_social_term(self):
         Y = np.array([[0.3, 0.1], [0.0, 0.5]])
         Z = np.array([[0.2, 0.0], [0.1, 0.1]])
-        X = np.array([[1.0], [2.0]])
-        ops = OperatorSet(X=X, Y=Y, Z=Z, S_tilde=sp.csr_matrix(np.eye(1)),
+        x = np.array([1.0, 2.0])
+        ops = OperatorSet(x=x, Y=Y, Z=Z, S_tilde=sp.csr_matrix(np.eye(1)),
                           params_used=ModelParams(h=1))
         u = np.array([[0.5], [1.5]])
-        np.testing.assert_allclose(matrix_step(u, ops), X + (Y + Z) @ u)
+        np.testing.assert_allclose(matrix_step(u, ops), x[:, None] + (Y + Z) @ u)
 
     def test_equivalence_with_per_item_route(self):
         rng = np.random.default_rng(6)
@@ -146,16 +157,49 @@ class TestConvergenceMargin:
         assert report2.degenerate
         assert report2.norm_bound == pytest.approx(1.0)
 
+    def test_c2_world_is_not_satisfied(self):
+        """C2's parameters give margin 0.09, yet on C2's first world the
+        consensus mode grows at rho(Y + Z) > 1, so the report is unsatisfied."""
+        rng = np.random.default_rng(22)
+        n, c = 50, 5
+        m = int(rng.integers(20, 61))
+        catalog = ItemCatalog.from_category_sets(
+            [(int(rng.integers(0, c)),) for _ in range(m)], c)
+        edges = set()
+        while len(edges) < 3 * n:
+            i, j = rng.integers(0, n, 2)
+            if i != j:
+                edges.add((int(i), int(j)))
+        graph = build_social_graph(edges, n)
+        params = ModelParams(alpha=1.0, beta=1.0, gamma=0.5, epsilon=0.2,
+                             eta=0.05, h=1)
+        ops = build_operators(catalog, graph, params)
+        report = convergence_margin(params, ops)
+        assert report.margin == pytest.approx(0.09, abs=1e-12)
+        assert report.consensus_radius == pytest.approx(
+            np.abs(np.linalg.eigvals(ops.Y + ops.Z)).max(), abs=1e-15)
+        assert report.consensus_radius > 1
+        assert not report.satisfied
+
+    def test_contracting_operators_are_satisfied(self):
+        ops = OperatorSet(x=np.zeros(2), Y=0.5 * np.eye(2), Z=0.25 * np.eye(2),
+                          S_tilde=sp.csr_matrix(np.eye(2)),
+                          params_used=ModelParams(h=1))
+        report = convergence_margin(ModelParams(epsilon=0.0, h=1), ops)
+        assert report.degenerate
+        assert report.consensus_radius == pytest.approx(0.75)
+        assert report.satisfied
+
 
 class TestInfinityNormBound:
     def test_identity_only(self):
-        ops = OperatorSet(X=np.zeros((2, 1)), Y=np.eye(2), Z=np.zeros((2, 2)),
+        ops = OperatorSet(x=np.zeros(2), Y=np.eye(2), Z=np.zeros((2, 2)),
                           S_tilde=sp.csr_matrix(np.eye(1)),
                           params_used=ModelParams(h=1))
         assert infinity_norm_bound(ops) == 1.0
 
     def test_diagonal_rows(self):
-        ops = OperatorSet(X=np.zeros((2, 1)), Y=np.diag([1.15, 1.05]),
+        ops = OperatorSet(x=np.zeros(2), Y=np.diag([1.15, 1.05]),
                           Z=np.zeros((2, 2)), S_tilde=sp.csr_matrix(np.eye(1)),
                           params_used=ModelParams(h=1))
         assert infinity_norm_bound(ops) == pytest.approx(1.15)
@@ -186,13 +230,13 @@ class TestInfinityNormBound:
 
 class TestFixedPoint:
     def test_homogeneous_system_zero(self):
-        ops = OperatorSet(X=np.zeros((2, 2)), Y=0.4 * np.eye(2),
+        ops = OperatorSet(x=np.zeros(2), Y=0.4 * np.eye(2),
                           Z=0.1 * np.eye(2), S_tilde=sp.csr_matrix(np.eye(2)),
                           params_used=ModelParams(h=1))
         np.testing.assert_allclose(fixed_point(ops), 0.0, atol=1e-12)
 
     def test_scalar_solve(self):
-        ops = OperatorSet(X=np.array([[1.0]]), Y=np.array([[0.5]]),
+        ops = OperatorSet(x=np.array([1.0]), Y=np.array([[0.5]]),
                           Z=np.array([[0.25]]), S_tilde=sp.csr_matrix(np.eye(1)),
                           params_used=ModelParams(h=1))
         np.testing.assert_allclose(fixed_point(ops), [[4.0]], atol=1e-10)
@@ -205,7 +249,7 @@ class TestFixedPoint:
         Y = 0.4 * np.eye(c) + 0.02 * rng.standard_normal((c, c))
         Z = 0.05 * rng.standard_normal((c, c))
         S = sp.csr_matrix(np.full((n, n), 1.0 / n))
-        ops = OperatorSet(X=rng.standard_normal((c, n)), Y=Y, Z=Z,
+        ops = OperatorSet(x=rng.standard_normal(c), Y=Y, Z=Z,
                           S_tilde=S, params_used=ModelParams(h=1))
         bound = infinity_norm_bound(ops)
         assert bound < 1
@@ -243,19 +287,72 @@ class TestFixedPoint:
         assert np.max(np.abs(U - star)) > gap0
 
     def test_matrix_free_matches_dense(self):
+        """The c x c consensus solve equals the dense nc x nc Kronecker solve."""
         rng = np.random.default_rng(11)
         params = ModelParams(alpha=1.0, beta=1.0, gamma=0.5, epsilon=0.2,
                              eta=0.05, h=1)
         catalog, graph, _ = random_instance(rng, n_max=10, multi=False)
         ops = build_operators(catalog, graph, params)
-        dense = fixed_point(ops)
-        iterative = fixed_point(ops, dense_limit=1)
-        np.testing.assert_allclose(iterative, dense, atol=1e-9)
+        dense, cond = kronecker_fixed_point(ops)
+        assert cond < 1e10
+        np.testing.assert_allclose(fixed_point(ops), dense, atol=1e-9)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           alpha=st.floats(0, 8), beta=st.floats(0, 8), gamma=st.floats(0, 1),
+           epsilon=st.floats(-0.9, 0.9), eta=st.floats(0.001, 0.5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_kronecker_oracle_over_c1_domain(self, seed, alpha, beta,
+                                                      gamma, epsilon, eta):
+        """Over C1's worlds and parameters, wherever the full system has
+        condition below 1e10, the consensus solve returns its solution.
+
+        The dense oracle's own error grows as cond * eps, so the tolerance
+        on 1 + max|U*| is 1e-9 plus 1e-14 cond.
+        """
+        catalog, graph, _ = random_instance(np.random.default_rng(seed))
+        ops = build_operators(catalog, graph, ModelParams(
+            alpha=alpha, beta=beta, gamma=gamma, epsilon=epsilon, eta=eta, h=1))
+        expected, cond = kronecker_fixed_point(ops)
+        if not cond < 1e10:
+            return
+        star = fixed_point(ops)
+        assert (star == star[:, :1]).all()
+        tol = (1e-9 + 1e-14 * cond) * (1 + np.max(np.abs(expected)))
+        assert np.max(np.abs(star - expected)) <= tol
 
     def test_singular_system_detected(self):
-        ops = OperatorSet(X=np.array([[1.0]]), Y=np.array([[1.0]]),
+        """lambda = 1: Y = I and Z = 0 make the consensus block I - Y - Z zero."""
+        ops = OperatorSet(x=np.array([1.0]), Y=np.array([[1.0]]),
                           Z=np.zeros((1, 1)), S_tilde=sp.csr_matrix(np.eye(1)),
                           params_used=ModelParams(h=1))
+        with pytest.raises(SingularSystem):
+            fixed_point(ops)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    @pytest.mark.parametrize("edges,n,y,z,oracle_cond", [
+        # lambda = -1: two users who trust each other alternate, and
+        # 1 - Y + Z = 0 while the consensus block 1 - Y - Z = -0.5
+        pytest.param({(0, 1), (1, 0)}, 2, 1.25, 0.25, np.inf, id="minus-one"),
+        # lambda = -1 - 8e-14: no eigenvalue of S~, but S~ - lambda I has
+        # condition near 2.5e13
+        pytest.param({(0, 1), (1, 0)}, 2, 1.25 + 1e-14, 0.25, 1e12,
+                     id="just-outside-the-disk"),
+        # lambda = 0: 1 - Y - 0 Z = 0
+        pytest.param({(0, 2), (1, 2)}, 3, 1.0, 0.5, np.inf, id="zero-shared-friend"),
+        pytest.param({(0, 1), (1, 2), (2, 3), (3, 2)}, 4, 1.0, 0.5, np.inf,
+                     id="zero-defective-chain"),
+    ])
+    def test_singular_shift_detected(self, edges, n, y, z, oracle_cond, dense,
+                                     monkeypatch):
+        """A singular block I - Y - lambda Z with lambda != 1 in spec(S~)
+        raises, through the dense and the sparse condition estimate."""
+        if not dense:
+            monkeypatch.setattr(theory, "DENSE_SOLVE_LIMIT", 0)
+        ops = OperatorSet(x=np.array([1.0]), Y=np.array([[y]]),
+                          Z=np.array([[z]]),
+                          S_tilde=build_social_graph(edges, n).influence_matrix,
+                          params_used=ModelParams(h=1))
+        assert kronecker_fixed_point(ops)[1] >= oracle_cond
         with pytest.raises(SingularSystem):
             fixed_point(ops)
 
@@ -270,6 +367,14 @@ class TestFixedPoint:
             rhs = np.kron(B, A) @ vec(U)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
             np.testing.assert_array_equal(unvec(vec(U), c, n), U)
+
+
+def test_import_leaves_scipy_sparse_linalg_unloaded():
+    """Only the sparse branch of the uniqueness certificate imports it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(recloop.__file__).parents[1]))
+    code = "import sys, recloop; sys.exit('scipy.sparse.linalg' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert done.returncode == 0
 
 
 class TestHomogenizationCondition:
