@@ -8,7 +8,6 @@ interaction history or random init) and evolve unnormalized afterwards.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -20,6 +19,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidItem,
     InvalidRequest,
+    ParseError,
 )
 
 UNIT_NORM_TOL = 1e-12
@@ -148,10 +148,17 @@ def build_social_graph(edges: Iterable[tuple[int, int]], n: int) -> SocialGraph:
 
     Accepts ordered pairs (i, j) meaning i trusts j. Duplicates are
     deduplicated and self-pairs ignored; isolated users receive a self-loop
-    influence row.
+    influence row. Input that is not (i, j) integer pairs raises ParseError;
+    IndexOutOfRange names the first out-of-range edge in input order.
     """
-    pairs = np.fromiter(itertools.chain.from_iterable(edges),
-                        dtype=np.int64).reshape(-1, 2)
+    edges = list(edges)
+    try:
+        pairs = np.array(edges, dtype=np.int64)
+        pairs = pairs.reshape(len(edges), -1 if edges else 2)
+        if pairs.shape[1] != 2:
+            raise ValueError(f"got {edges[0]!r}")
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"edges must be (i, j) integer pairs: {exc}") from exc
     bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
     if bad.any():
         i, j = pairs[np.argmax(bad)]

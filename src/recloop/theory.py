@@ -19,6 +19,7 @@ import scipy.sparse as sp
 from .catalog import ItemCatalog, ModelParams, SocialGraph
 from .errors import DegenerateCatalog, InvalidRequest, SingularSystem
 
+# Size cap of the removed dense Kronecker solve; the package no longer reads it.
 DENSE_SOLVE_LIMIT = 2000
 CONDITION_LIMIT = 1e12
 
@@ -161,11 +162,13 @@ def growth_norm_bound(ops: OperatorSet) -> float:
                  + np.abs(ops.Z).sum(axis=1).max())
 
 
-def _shift_condition(S: sp.csr_matrix, lam: complex, dense: bool) -> float:
-    """Infinity-norm condition of S - lam I, dense or from a sparse LU."""
+def _shift_condition(S: sp.csr_matrix, lam: complex) -> float:
+    """Infinity-norm condition of S - lam I, estimated from a sparse LU.
+
+    ``onenormest`` bounds ||(S - lam I)^-1|| from below, so the estimate
+    never exceeds the exact condition.
+    """
     A = S - lam * sp.identity(S.shape[0], format="csr")
-    if dense:
-        return float(np.linalg.cond(A.toarray(), np.inf))
     import scipy.sparse.linalg as spla    # deferred: only a shift in the disk needs it
     try:
         lu = spla.splu(A.T)               # CSC, and ||A^-1||_inf = ||A^-T||_1
@@ -203,7 +206,7 @@ def fixed_point(ops: OperatorSet,
     # <= limit certifies the block without a factorization.
     near = np.abs(nu + 1) < (1 + 2 / (condition_limit - 1)) * np.abs(nu)
     for lam in 1 + 1 / nu[near]:
-        cond = _shift_condition(ops.S_tilde, lam, n * c <= DENSE_SOLVE_LIMIT)
+        cond = _shift_condition(ops.S_tilde, lam)
         if not cond <= condition_limit:
             raise SingularSystem(f"S~ - lambda I has condition {cond:.3e} at "
                                  f"lambda = {lam:.6g}", condition=cond)

@@ -47,6 +47,7 @@ from recloop.dynamics import _feedback_pair
 from recloop.metrics import MetricSettings, dispersions, pdv_with_mode
 from recloop.mitigation import MitigationConfig, adaptive_alpha, build_hooks
 from recloop.theory import expected_entropy_series
+from recloop.verify import CONSENSUS_PARAMS, consensus_world
 
 DESK = dict(n=100, m=1000, c=10, link_count=1000)
 DESK_SEEDS = tuple(range(1, 11))
@@ -132,22 +133,13 @@ def test_c2_closed_form_fixed_point():
     two drift apart by (L^k - I) r, which grows with k.
     """
     rng = np.random.default_rng(22)
-    params = ModelParams(alpha=1.0, beta=1.0, gamma=0.5, epsilon=0.2,
-                         eta=0.05, h=1)
+    params = CONSENSUS_PARAMS
     margin = convergence_margin(params).margin
     start = time.perf_counter()
     worst_res, worst_gap, rho_max = 0.0, 0.0, 0.0
     for _ in range(20):
-        n, c = 50, 5
-        m = int(rng.integers(20, 61))
-        catalog = ItemCatalog.from_category_sets(
-            [(int(rng.integers(0, c)),) for _ in range(m)], c)
-        edges = set()
-        while len(edges) < 3 * n:
-            i, j = rng.integers(0, n, 2)
-            if i != j:
-                edges.add((int(i), int(j)))
-        graph = build_social_graph(edges, n)
+        catalog, graph = consensus_world(rng)
+        n, c = graph.n, catalog.c
         ops = build_operators(catalog, graph, params)
         star = fixed_point(ops)
         res = float(np.max(np.abs(matrix_step(star, ops) - star)))

@@ -18,6 +18,7 @@ from recloop.errors import (
     IndexOutOfRange,
     InvalidItem,
     InvalidRequest,
+    ParseError,
 )
 
 from oracles import influence_reference
@@ -170,6 +171,17 @@ class TestBuildSocialGraph:
         with pytest.raises(IndexOutOfRange,
                            match=r"^edge \(2,5\) out of range for n=3$"):
             build_social_graph([(0, 1), (2, 5), (1, 0), (0, -1)], 3)
+
+    @pytest.mark.parametrize("edges", [
+        # six ints that would re-pair as three edges
+        pytest.param([(0, 1, 2), (1, 0, 2)], id="two-triples"),
+        pytest.param([(0, 1, 2)], id="one-triple"),
+        pytest.param([(0, 1), (1,)], id="ragged"),
+        pytest.param([0, 1], id="flat"),
+    ])
+    def test_edges_that_are_not_pairs_rejected(self, edges):
+        with pytest.raises(ParseError, match="edges must be"):
+            build_social_graph(edges, 3)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(11)

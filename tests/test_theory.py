@@ -26,8 +26,8 @@ from recloop import (
     matrix_step,
     steady_homogenization_check,
 )
-from recloop import theory
 from recloop.theory import OperatorSet, growth_norm_bound
+from recloop.verify import CONSENSUS_PARAMS, consensus_world
 from recloop.errors import DegenerateCatalog, InvalidRequest, SingularSystem
 
 from oracles import kronecker_fixed_point, unvec, vec
@@ -160,19 +160,8 @@ class TestConvergenceMargin:
     def test_c2_world_is_not_satisfied(self):
         """C2's parameters give margin 0.09, yet on C2's first world the
         consensus mode grows at rho(Y + Z) > 1, so the report is unsatisfied."""
-        rng = np.random.default_rng(22)
-        n, c = 50, 5
-        m = int(rng.integers(20, 61))
-        catalog = ItemCatalog.from_category_sets(
-            [(int(rng.integers(0, c)),) for _ in range(m)], c)
-        edges = set()
-        while len(edges) < 3 * n:
-            i, j = rng.integers(0, n, 2)
-            if i != j:
-                edges.add((int(i), int(j)))
-        graph = build_social_graph(edges, n)
-        params = ModelParams(alpha=1.0, beta=1.0, gamma=0.5, epsilon=0.2,
-                             eta=0.05, h=1)
+        catalog, graph = consensus_world(np.random.default_rng(22))
+        params = CONSENSUS_PARAMS
         ops = build_operators(catalog, graph, params)
         report = convergence_margin(params, ops)
         assert report.margin == pytest.approx(0.09, abs=1e-12)
@@ -328,7 +317,6 @@ class TestFixedPoint:
         with pytest.raises(SingularSystem):
             fixed_point(ops)
 
-    @pytest.mark.parametrize("dense", [True, False])
     @pytest.mark.parametrize("edges,n,y,z,oracle_cond", [
         # lambda = -1: two users who trust each other alternate, and
         # 1 - Y + Z = 0 while the consensus block 1 - Y - Z = -0.5
@@ -342,12 +330,9 @@ class TestFixedPoint:
         pytest.param({(0, 1), (1, 2), (2, 3), (3, 2)}, 4, 1.0, 0.5, np.inf,
                      id="zero-defective-chain"),
     ])
-    def test_singular_shift_detected(self, edges, n, y, z, oracle_cond, dense,
-                                     monkeypatch):
+    def test_singular_shift_detected(self, edges, n, y, z, oracle_cond):
         """A singular block I - Y - lambda Z with lambda != 1 in spec(S~)
-        raises, through the dense and the sparse condition estimate."""
-        if not dense:
-            monkeypatch.setattr(theory, "DENSE_SOLVE_LIMIT", 0)
+        raises through the sparse condition estimate."""
         ops = OperatorSet(x=np.array([1.0]), Y=np.array([[y]]),
                           Z=np.array([[z]]),
                           S_tilde=build_social_graph(edges, n).influence_matrix,
