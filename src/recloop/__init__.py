@@ -40,12 +40,9 @@ from .experiment import (
 from .metrics import (
     MetricsRecord,
     MetricSettings,
-    category_entropy,
     compute_metrics_record,
     dispersions,
     nd,
-    pdv,
-    ra,
     rce,
     ts_at_k,
 )

@@ -1,8 +1,8 @@
 """Command-line interface: simulate, sweep, compare, synth, verify-theory.
 
 Flags mirror the experiment configuration; a JSON config file may supply any
-flag (explicit flags win). Exit codes: 0 success, 2 validation error,
-1 runtime error.
+flag (explicit flags win), and a key that names no flag is a validation
+error. Exit codes: 0 success, 2 validation error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     mt.add_argument("--omega", type=float)
     mt.add_argument("--candidate-count", type=int)
     mt.add_argument("--sar-strict", action="store_true", default=None)
-    mt.add_argument("--ua-rescale-by-n", action="store_true", default=None)
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -88,15 +87,23 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 
 def _merge_config_file(args: argparse.Namespace) -> dict:
+    """The config file's keys, each the dest of a flag (e.g. ``ts_k``), under
+    the flags given on the command line; any other file key is rejected."""
     merged: dict = {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as handle:
-                merged.update(json.load(handle))
+                merged = json.load(handle)
         except OSError as exc:
             raise InvalidRequest(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InvalidRequest(f"bad JSON in {args.config}: {exc}") from exc
+        if not isinstance(merged, dict):
+            raise InvalidRequest(f"config {args.config} must hold a JSON object")
+        unknown = sorted(set(merged) - set(vars(args)))
+        if unknown:
+            raise InvalidRequest(f"unknown key(s) {', '.join(map(repr, unknown))} "
+                                 f"in config {args.config}")
     for key, value in vars(args).items():
         if key in ("config", "command", "func") or value is None:
             continue
@@ -121,7 +128,6 @@ def _config_from_dict(data: dict) -> ExperimentConfig:
         omega=float(data.get("omega", 1000.0)),
         candidate_count=int(data.get("candidate_count", 1000)),
         sar_strict_denominator=bool(data.get("sar_strict", False)),
-        ua_rescale_by_n=bool(data.get("ua_rescale_by_n", False)),
     )
     synthetic = None
     if data.get("items_file") is None:

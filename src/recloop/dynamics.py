@@ -19,7 +19,7 @@ users are blocked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -147,15 +147,11 @@ class StrategyHooks:
     ``rerank`` is called once per user block, on the block's (c, b) user
     vectors and (b, K) sampled pools, and must return (b, h) slates;
     ``update_weights`` once per step, on the (n, h) sign matrix, and must
-    return weights of that shape. Hooks draw no random numbers and must be
-    pure given the state snapshot handed to ``begin_step``.
+    return weights of that shape. Hooks draw no random numbers, keep no state
+    between calls and are pure functions of their arguments.
     """
 
     candidate_count: int | None = None
-
-    def begin_step(self, user_matrix: np.ndarray, catalog: ItemCatalog,
-                   graph: SocialGraph, params: ModelParams) -> None:
-        pass
 
     def user_alphas(self, user_matrix: np.ndarray,
                     params: ModelParams) -> np.ndarray | None:
@@ -204,8 +200,6 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     n, m, h = U.shape[1], catalog.m, params.h
     if h > m:
         raise InvalidRequest(f"list length h={h} exceeds item count m={m}")
-
-    hooks.begin_step(U, catalog, graph, params)
 
     alphas = hooks.user_alphas(U, params)
     if alphas is None:
@@ -267,11 +261,10 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
 
 @dataclass
 class Trajectory:
-    """Per-step metric records plus whatever logs/snapshots were retained."""
+    """Per-step metric records plus the step logs, when they were retained."""
 
     records: list[MetricsRecord]
     final_states: UserStates
-    snapshots: dict[int, np.ndarray] = field(default_factory=dict)
     step_logs: list[StepLog] | None = None
     padded_slates: int = 0
 
@@ -292,7 +285,6 @@ def run(initial_states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
         hooks: StrategyHooks | None = None,
         master_seed: int = 0,
         settings: MetricSettings | None = None,
-        snapshot_steps: Iterable[int] = (),
         keep_step_logs: bool = False) -> Trajectory:
     """Apply ``simulate_step`` T times, evaluating metrics on schedule.
 
@@ -304,20 +296,16 @@ def run(initial_states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
         raise InvalidRequest(f"need T >= 1, got {T}")
     schedule = set(default_metric_schedule(T) if metric_schedule is None
                    else (int(s) for s in metric_schedule))
-    snap_at = set(int(s) for s in snapshot_steps)
     if settings is None:
         settings = MetricSettings(ts_k=min(50, initial_states.n - 1))
 
     splitter = _as_splitter(master_seed)
     states = initial_states.copy()
     records: list[MetricsRecord] = []
-    snapshots: dict[int, np.ndarray] = {}
     logs: list[StepLog] | None = [] if keep_step_logs else None
     padded = 0
 
     for t in range(T):
-        if t in snap_at:
-            snapshots[t] = states.user_matrix.copy()
         new_states, log = simulate_step(states, catalog, graph, params,
                                         splitter, hooks)
         padded += int(log.padded.sum())
@@ -328,8 +316,5 @@ def run(initial_states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
             logs.append(log)
         states = new_states
 
-    if T in snap_at:
-        snapshots[T] = states.user_matrix.copy()
-    return Trajectory(records=records, final_states=states,
-                      snapshots=snapshots, step_logs=logs,
+    return Trajectory(records=records, final_states=states, step_logs=logs,
                       padded_slates=padded)

@@ -185,30 +185,19 @@ def ingest_interactions(interactions_path, items_path) -> IngestResult:
 
 
 def ingest_trust(trust_path, n: int,
-                 user_index: dict[str, int] | None = None) -> tuple[SocialGraph, int]:
+                 user_index: dict[str, int]) -> tuple[SocialGraph, int]:
     """Parse trust rows into a social graph; returns (graph, dropped self-loops).
 
-    With a ``user_index`` mapping, ids are translated; otherwise they must be
-    integers below n. Unknown users raise ParseError; duplicate edges are
-    deduplicated downstream.
+    Ids are translated through ``user_index`` (n users); unknown users raise
+    ParseError, and duplicate edges are deduplicated downstream.
     """
     edges = []
     dropped = 0
     for lineno, (src, dst) in _read_rows(trust_path, 2):
-        if user_index is not None:
-            if src not in user_index or dst not in user_index:
-                raise ParseError(f"unknown user in trust row ({src},{dst})",
-                                 line=lineno)
-            i, j = user_index[src], user_index[dst]
-        else:
-            try:
-                i, j = int(src), int(dst)
-            except ValueError as exc:
-                raise ParseError(f"non-integer user id ({src},{dst})",
-                                 line=lineno) from exc
-            if i >= n or j >= n or i < 0 or j < 0:
-                raise ParseError(f"unknown user in trust row ({src},{dst})",
-                                 line=lineno)
+        if src not in user_index or dst not in user_index:
+            raise ParseError(f"unknown user in trust row ({src},{dst})",
+                             line=lineno)
+        i, j = user_index[src], user_index[dst]
         if i == j:
             dropped += 1
             continue
@@ -615,18 +604,3 @@ def export_states(states: UserStates, path) -> None:
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
-
-def load_states(path) -> UserStates:
-    """Read a matrix produced by ``export_states``."""
-    rows = []
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader)
-            if not header or header[0] != "user_id":
-                raise ParseError(f"unexpected header in {path}")
-            for row in reader:
-                rows.append([float(x) for x in row[1:]])
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    return UserStates(np.array(rows).T, t=0)

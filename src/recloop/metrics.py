@@ -26,20 +26,6 @@ def _as_matrix(states) -> np.ndarray:
     return np.asarray(states, dtype=float)
 
 
-def category_entropy(slate_items: np.ndarray, catalog: ItemCatalog) -> float:
-    """Entropy of the slate's category shares, with 0*ln(0) := 0.
-
-    A k-category item contributes 1/k mass to each of its categories (the
-    squared coordinate of its vector), so shares always total the slate
-    length and single-category slates reduce to integer counting.
-    """
-    items = np.asarray(slate_items, dtype=int).ravel()
-    if items.size == 0:
-        raise InvalidSlate("cannot compute entropy of an empty slate")
-    counts = (catalog.item_vectors[:, items] ** 2).sum(axis=1)
-    return _entropy_from_counts(counts[None, :])[0]
-
-
 def _entropy_from_counts(counts: np.ndarray) -> np.ndarray:
     totals = counts.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -49,7 +35,13 @@ def _entropy_from_counts(counts: np.ndarray) -> np.ndarray:
 
 
 def rce(slate_matrix: np.ndarray, catalog: ItemCatalog) -> float:
-    """Mean category entropy of all users' slates."""
+    """Mean category entropy of all users' slates, with 0*ln(0) := 0.
+
+    A k-category item contributes 1/k mass to each of its categories (the
+    squared coordinate of its vector), so a slate's shares always total its
+    length and single-category slates reduce to integer counting. One slate
+    is the one-row matrix ``slate[None]``.
+    """
     slates = np.asarray(slate_matrix, dtype=int)
     if slates.ndim != 2 or slates.shape[1] == 0:
         raise InvalidSlate("expected an (n, h) slate matrix with h >= 1")
@@ -58,16 +50,10 @@ def rce(slate_matrix: np.ndarray, catalog: ItemCatalog) -> float:
     return float(_entropy_from_counts(counts).mean())
 
 
-def ra(states, slate_matrix: np.ndarray, catalog: ItemCatalog,
-       threshold: float = 0.7) -> float:
-    """Fraction of (user, item) pairs whose normalized-user/item score exceeds the threshold."""
-    value, _ = ra_with_diagnostics(states, slate_matrix, catalog, threshold)
-    return value
-
-
 def ra_with_diagnostics(states, slate_matrix: np.ndarray, catalog: ItemCatalog,
                         threshold: float = 0.7) -> tuple[float, int]:
-    """RA value plus the count of zero-norm users excluded from the average."""
+    """Fraction of (user, item) pairs whose normalized-user/item score exceeds
+    the threshold, and the count of zero-norm users excluded from it."""
     matrix = _as_matrix(states)
     slates = np.asarray(slate_matrix, dtype=int)
     norms = np.linalg.norm(matrix, axis=0)
@@ -99,12 +85,6 @@ def _pairwise_distances_exact(un: np.ndarray) -> np.ndarray:
         diffs = un[:, i + 1:] - un[:, i:i + 1]
         chunks.append(np.sqrt((diffs ** 2).sum(axis=0)))
     return np.concatenate(chunks) if chunks else np.zeros(0)
-
-
-def pdv(states, mode: str = "auto", pairs: int = PDV_DEFAULT_PAIRS,
-        seed: int = PDV_DEFAULT_SEED) -> float:
-    value, _, _ = pdv_with_mode(states, mode, pairs, seed)
-    return value
 
 
 def pdv_with_mode(states, mode: str = "auto", pairs: int = PDV_DEFAULT_PAIRS,
@@ -171,8 +151,6 @@ class MetricSettings:
     ts_k: int
     ra_threshold: float = 0.7
     pdv_mode: str = "auto"
-    pdv_pairs: int = PDV_DEFAULT_PAIRS
-    pdv_seed: int = PDV_DEFAULT_SEED
 
 
 @dataclass(frozen=True)
@@ -200,14 +178,13 @@ def compute_metrics_record(t: int, states, slate_matrix: np.ndarray,
     ra_val, ra_excl = ra_with_diagnostics(matrix, slate_matrix, catalog,
                                           settings.ra_threshold)
     nd_val = nd(matrix, graph)
-    pdv_val, pdv_mode_used, pdv_pairs = pdv_with_mode(
-        matrix, settings.pdv_mode, settings.pdv_pairs, settings.pdv_seed)
+    pdv_val, pdv_mode_used, pdv_pairs = pdv_with_mode(matrix, settings.pdv_mode)
     ts_val = ts_at_k(matrix, settings.ts_k)
     _check_record_bounds(rce_val, ra_val, nd_val, ts_val, catalog.c)
     return MetricsRecord(
         t=t, rce=rce_val, ra=ra_val, nd=nd_val, pdv=pdv_val, ts_at_k=ts_val,
         k_used=settings.ts_k, pdv_mode=pdv_mode_used, pdv_pairs=pdv_pairs,
-        pdv_seed=settings.pdv_seed if pdv_mode_used == "sampled" else None,
+        pdv_seed=PDV_DEFAULT_SEED if pdv_mode_used == "sampled" else None,
         ra_excluded=ra_excl,
     )
 

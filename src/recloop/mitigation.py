@@ -36,10 +36,9 @@ class MitigationConfig:
     theta=0.501, omega=1000). ``sar_strict_denominator`` reproduces the
     printed aggregation rule that divides by sum(w) * |N_i|; the default is
     the normalized weighted mean, which recovers the plain neighbor mean at
-    omega=0. ``ua_rescale_by_n`` multiplies the adaptive temperatures by n
-    (off by default; the verbatim rule shares one budget alpha0 among all
-    users). At sigma=10 that budget concentrates on the lowest-dispersion
-    users (see ``adaptive_alpha``); the rescale does not undo this.
+    omega=0. UA-alpha shares one temperature budget alpha0 among all users;
+    at sigma=10 that budget concentrates on the lowest-dispersion users (see
+    ``adaptive_alpha``).
     """
 
     strategy: str = "none"
@@ -49,7 +48,6 @@ class MitigationConfig:
     omega: float = 1000.0
     candidate_count: int = 1000
     sar_strict_denominator: bool = False
-    ua_rescale_by_n: bool = False
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -69,8 +67,7 @@ def adaptive_alpha(dispersion_values: np.ndarray, sigma: float,
     At sigma=10 the power concentrates the budget on the few lowest-dispersion
     users: on the desk-scale synthetic worlds (n=100) 88-98% of users start
     with alpha_i < 0.01 * alpha0, which switches personalization off for
-    them. Multiplying by n (``ua_rescale_by_n``) leaves most users far below
-    alpha0 all the same.
+    them.
     """
     dis = np.maximum(np.asarray(dispersion_values, dtype=float), DISPERSION_FLOOR)
     log_phi = -sigma * np.log(dis)
@@ -136,19 +133,11 @@ def _greedy_select(users: np.ndarray, pools: np.ndarray, catalog: ItemCatalog,
 class AdaptiveAlphaHooks(StrategyHooks):
     """Redistribute the temperature budget toward broad-interest users."""
 
-    def __init__(self, sigma: float, rescale_by_n: bool = False):
+    def __init__(self, sigma: float):
         self.sigma = sigma
-        self.rescale_by_n = rescale_by_n
-        self._dispersions: np.ndarray | None = None
-
-    def begin_step(self, user_matrix, catalog, graph, params):
-        self._dispersions = dispersions(user_matrix)
 
     def user_alphas(self, user_matrix, params):
-        alphas = adaptive_alpha(self._dispersions, self.sigma, params.alpha)
-        if self.rescale_by_n:
-            alphas = alphas * user_matrix.shape[1]
-        return alphas
+        return adaptive_alpha(dispersions(user_matrix), self.sigma, params.alpha)
 
 
 class FeedbackAdjustmentHooks(StrategyHooks):
@@ -229,7 +218,7 @@ def build_hooks(config: MitigationConfig, params: ModelParams) -> StrategyHooks:
     if config.strategy == "none":
         return StrategyHooks()
     if config.strategy == "ua_alpha":
-        return AdaptiveAlphaHooks(config.sigma, config.ua_rescale_by_n)
+        return AdaptiveAlphaHooks(config.sigma)
     if config.strategy == "fua":
         return FeedbackAdjustmentHooks(config.rho)
     if config.strategy == "dpp":

@@ -107,9 +107,9 @@ class ConvergenceReport:
     plain iteration. With operators, ``consensus_radius`` is rho(Y + Z):
     lambda = 1 is always in spec(S~), so it is the exact growth rate of the
     consensus mode u 1^T, and a radius >= 1 means iteration cannot settle
-    whatever the margin. ``satisfied`` requires a margin or an
-    infinity-norm bound below 1, and a consensus radius below 1 when
-    operators are given.
+    whatever the margin. ``satisfied`` requires operators, a consensus
+    radius below 1, and a margin or an infinity-norm bound below 1; without
+    operators nothing is certified and it is False, whatever the margin.
     """
 
     margin: float | None
@@ -131,12 +131,12 @@ def convergence_margin(params: ModelParams,
         margin = params.eta * (params.beta / 2 + aeg / 2
                                + params.beta ** 2 / (8 * aeg))
     norm_bound = radius = None
+    satisfied = False
     if ops is not None:
         norm_bound = infinity_norm_bound(ops)
         radius = float(np.abs(np.linalg.eigvals(ops.Y + ops.Z)).max())
-    satisfied = bool(((margin is not None and margin < 1)
-                      or (norm_bound is not None and norm_bound < 1))
-                     and (radius is None or radius < 1))
+        satisfied = radius < 1 and (norm_bound < 1
+                                    or (margin is not None and margin < 1))
     return ConvergenceReport(margin=margin, norm_bound=norm_bound,
                              consensus_radius=radius, satisfied=satisfied,
                              degenerate=degenerate)

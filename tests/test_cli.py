@@ -77,6 +77,20 @@ class TestSimulate:
                        "--out-dir", str(tmp_path / "out"))
         assert code == 0
 
+    @pytest.mark.parametrize("content, message", [
+        ({"alpah": 0.0}, "'alpah'"),
+        ({"ua_rescale_by_n": True}, "'ua_rescale_by_n'"),
+        ([["alpha", 1.0]], "JSON object"),
+    ], ids=["misspelt", "removed", "not-an-object"])
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(content))
+        code = run_cli("simulate", *BASE, "--config", str(cfg), "--seed", "1",
+                       "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "recloop", "simulate", *BASE,

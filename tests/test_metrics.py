@@ -6,11 +6,8 @@ import pytest
 from recloop import (
     ItemCatalog,
     build_social_graph,
-    category_entropy,
     dispersions,
     nd,
-    pdv,
-    ra,
     rce,
     ts_at_k,
 )
@@ -32,25 +29,25 @@ def catalog_ten():
 class TestCategoryEntropy:
     def test_single_category_slate_is_zero(self):
         cat = ItemCatalog.from_category_sets([(0,)] * 20, 10)
-        assert category_entropy(np.arange(20), cat) == 0.0
+        assert rce(np.arange(20)[None], cat) == 0.0
 
     def test_uniform_slate_is_log_c(self):
         cat = catalog_ten()
-        h = category_entropy(np.arange(20), cat)
+        h = rce(np.arange(20)[None], cat)
         assert abs(h - np.log(10)) <= 1e-12
 
     def test_known_shares(self):
         cat = ItemCatalog.from_category_sets([(0,), (0,), (1,), (2,)], 3)
-        h = category_entropy(np.array([0, 1, 2, 3]), cat)
+        h = rce(np.array([[0, 1, 2, 3]]), cat)
         assert abs(h - 1.5 * np.log(2)) <= 1e-12
 
     def test_empty_slate_rejected(self):
         with pytest.raises(InvalidSlate):
-            category_entropy(np.array([], dtype=int), catalog_ten())
+            rce(np.array([], dtype=int)[None], catalog_ten())
 
     def test_multi_category_items_contribute_fractionally(self):
         cat = ItemCatalog.from_category_sets([(0, 1)], 2)
-        assert abs(category_entropy(np.array([0]), cat) - np.log(2)) <= 1e-12
+        assert abs(rce(np.array([[0]]), cat) - np.log(2)) <= 1e-12
 
 
 class TestRce:
@@ -71,17 +68,17 @@ class TestRa:
     def test_perfect_alignment(self):
         cat = ItemCatalog.from_category_sets([(0,), (1,)], 2)
         users = np.array([[1.0], [0.0]])
-        assert ra(users, np.array([[0, 0]]), cat) == 1.0
+        assert ra_with_diagnostics(users, np.array([[0, 0]]), cat)[0] == 1.0
 
     def test_orthogonal_items(self):
         cat = ItemCatalog.from_category_sets([(0,), (1,)], 2)
         users = np.array([[1.0], [0.0]])
-        assert ra(users, np.array([[1, 1]]), cat) == 0.0
+        assert ra_with_diagnostics(users, np.array([[1, 1]]), cat)[0] == 0.0
 
     def test_boundary_at_sqrt_half(self):
         cat = ItemCatalog.from_category_sets([(0,), (1,)], 2)
         users = np.array([[np.sqrt(0.5)], [np.sqrt(0.5)]])
-        assert ra(users, np.array([[0, 1]]), cat) == 1.0
+        assert ra_with_diagnostics(users, np.array([[0, 1]]), cat)[0] == 1.0
 
     def test_zero_norm_user_excluded_and_counted(self):
         cat = ItemCatalog.from_category_sets([(0,), (1,)], 2)
@@ -115,15 +112,15 @@ class TestNd:
 class TestPdv:
     def test_identical_users(self):
         users = np.tile(np.array([[0.6], [0.8]]), (1, 4))
-        assert pdv(users) == 0.0
+        assert pdv_with_mode(users)[0] == 0.0
 
     def test_three_user_value(self):
         users = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert abs(pdv(users) - 4.0 / 9.0) <= 1e-12
+        assert abs(pdv_with_mode(users)[0] - 4.0 / 9.0) <= 1e-12
 
     def test_needs_two_users(self):
         with pytest.raises(InvalidRequest):
-            pdv(np.array([[1.0], [0.0]]))
+            pdv_with_mode(np.array([[1.0], [0.0]]))
 
     def test_exact_matches_brute_force_bitwise(self):
         rng = np.random.default_rng(0)
@@ -135,7 +132,7 @@ class TestPdv:
                 for j in range(i + 1, n):
                     dists.append(np.sqrt(((un[:, j] - un[:, i]) ** 2).sum()))
             oracle = np.var(np.array(dists))
-            assert pdv(users, mode="exact") == oracle
+            assert pdv_with_mode(users, mode="exact")[0] == oracle
 
     def test_sampled_estimator_close_to_exact(self):
         rng = np.random.default_rng(1)

@@ -16,7 +16,7 @@ from recloop import (
     dpp_rerank,
 )
 from recloop.dynamics import _social_matrix, simulate_step
-from recloop.metrics import category_entropy, dispersions
+from recloop.metrics import dispersions, rce
 from recloop.mitigation import (
     DiversityRerankHooks,
     MitigationConfig,
@@ -149,8 +149,7 @@ class TestDppRerank:
             pool = rng.choice(60, size=40, replace=False)
             diverse = dpp_rerank(u, pool, cat, 0.501, 10)
             relevant = dpp_rerank(u, pool, cat, 0.0, 10)
-            gains.append(category_entropy(diverse, cat)
-                         - category_entropy(relevant, cat))
+            gains.append(rce(diverse[None], cat) - rce(relevant[None], cat))
         assert np.mean(gains) > 0
 
 
@@ -365,7 +364,6 @@ class TestHookWiring:
         params = ModelParams(alpha=5.0, h=5)
         hooks = build_hooks(MitigationConfig(strategy="ua_alpha", sigma=2.0),
                             params)
-        hooks.begin_step(states.user_matrix, cat, graph, params)
         alphas = hooks.user_alphas(states.user_matrix, params)
         assert abs(alphas.sum() - 5.0) <= 1e-12
         dis = dispersions(states.user_matrix)

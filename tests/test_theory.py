@@ -136,7 +136,7 @@ class TestConvergenceMargin:
                              eta=0.05, h=1)
         report = convergence_margin(params)
         assert report.margin == pytest.approx(0.09, abs=1e-12)
-        assert report.satisfied and not report.degenerate
+        assert not report.satisfied and not report.degenerate
 
     def test_worked_large_margin(self):
         params = ModelParams(alpha=5.0, beta=5.0, gamma=0.5, epsilon=0.1,
