@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .catalog import ModelParams
 from .errors import (
     IndexOutOfRange,
@@ -214,11 +216,38 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _synthetic_ratings(U: np.ndarray, category: np.ndarray, seed: int):
+    """(user, item, rating) columns sorted by user, then item.
+
+    User i rates min(round(20 |u_ic|), size of category c) distinct items of
+    each category c, 5 where u_ic > 0 and 1 where u_ic < 0, so the history
+    start of user i points along u_i up to rounding. The items are drawn from
+    the fourth child of ``seed``; ``generate_synthetic`` uses the first three.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[3])
+    users, items = [], []
+    for c, row in enumerate(U):
+        pool = np.flatnonzero(category == c)
+        counts = np.minimum(np.rint(20 * np.abs(row)), pool.size)
+        for lo in range(0, row.size, 4096):
+            block = counts[lo:lo + 4096, None]
+            picks = np.argsort(rng.random((block.size, pool.size)), axis=1)
+            who, rank = np.nonzero(np.arange(pool.size) < block)
+            users.append(who + lo)
+            items.append(pool[picks[who, rank]])
+    order = np.lexsort((np.concatenate(items), np.concatenate(users)))
+    users, items = np.concatenate(users)[order], np.concatenate(items)[order]
+    return users, items, np.where(U[category[items], users] > 0, 5, 1)
+
+
 def _cmd_synth(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     catalog, states, graph = generate_synthetic(
         args.n, args.m, args.c, args.links, args.seed)
+    category = np.array([cats[0] for cats in catalog.category_sets])
+    ratings = _synthetic_ratings(states.user_matrix, category, args.seed)
+    np.savetxt(out / "interactions.csv", np.column_stack(ratings), fmt="%d", delimiter=",")
     with open(out / "items.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         for j, cats in enumerate(catalog.category_sets):
@@ -228,8 +257,9 @@ def _cmd_synth(args) -> int:
         for i, j in graph.edge_array:
             writer.writerow([int(i), int(j)])
     export_states(states, out / "users.csv")
-    print(f"wrote items.csv ({catalog.m} items), trust.csv "
-          f"({graph.num_edges} links), users.csv ({states.n} users) to {out}")
+    print(f"wrote items.csv ({catalog.m} items), interactions.csv "
+          f"({ratings[0].size} ratings), trust.csv ({graph.num_edges} links), "
+          f"users.csv ({states.n} users) to {out}")
     return 0
 
 

@@ -11,10 +11,12 @@ computed against the state snapshot at the start of the step, and the updated
 matrix is written in a single pass afterwards. Users go through the softmax,
 the sampling race and the re-rank hook in blocks of about
 ``BLOCK_ENTRIES // m`` users, so a step holds O(block * m) floats, never
-O(n * m); feedback and the update are array work over the whole step.
-Randomness is counter-split per (step, user) and each user's stream is drawn
-in the same order whatever the block, so results are identical however the
-users are blocked.
+O(n * m); the race runs once per block, over a (block, m) key matrix, and
+feedback and the update are array work over the whole step. Randomness is
+counter-split per (step, user), and each user's stream is drawn in the same
+order whatever the block (the race's exponentials, the pad choice of a
+padded slate, then the feedback uniforms), so results are identical however
+the users are blocked.
 """
 
 from __future__ import annotations
@@ -67,40 +69,41 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 def sample_without_replacement(p: np.ndarray, h: int, rng) -> np.ndarray:
     """Draw h distinct indices with sequential draw-and-renormalize semantics.
 
-    Implemented as an exponential race: item j gets key E_j / p_j and the h
-    smallest keys win, which is distributionally identical to drawing one
-    item at a time and renormalizing the remainder. If fewer than h items
-    have positive probability, the shortfall is padded uniformly from the
-    zero-probability items (callers can detect this case by counting
-    positive entries).
+    Implemented as an exponential race (Efraimidis and Spirakis 2006): item j
+    gets key E_j / p_j and the h smallest keys win, which is distributionally
+    identical to drawing one item at a time and renormalizing the remainder.
+    If fewer than h items have positive probability, the shortfall is padded
+    uniformly from the zero-probability items (callers can detect this case
+    by counting positive entries).
 
-    A 2-D ``p`` holds one distribution per row and ``rng`` is then a
-    sequence of one generator per row; row r of the (rows, h) result, and
-    the draws it takes from ``rng[r]``, are those of the 1-D call on ``p[r]``.
+    A 2-D ``p`` holds one distribution per row and ``rng`` is then a sequence
+    of one generator per row. The race runs once over the whole (rows, m) key
+    matrix, but row r of the (rows, h) result, and the draws it takes from
+    ``rng[r]`` (m exponentials, then the pad choice of a padded row), are
+    those of the 1-D call on ``p[r]``, which is the one-row case.
     """
     p = np.asarray(p, dtype=float)
     m = p.shape[-1]
     if h > m:
         raise InvalidRequest(f"cannot draw {h} distinct items from {m}")
-    if p.ndim == 2:
-        return np.array([_race(row, h, g) for row, g in zip(p, rng)])
-    return _race(p, h, rng)
-
-
-def _race(p: np.ndarray, h: int, rng: np.random.Generator) -> np.ndarray:
-    keys = rng.exponential(size=p.size)
+    if p.ndim == 1:
+        return sample_without_replacement(p[None], h, [rng])[0]
+    keys = np.empty(p.shape)
+    for row, stream in zip(keys, rng):
+        stream.standard_exponential(out=row)
     with np.errstate(divide="ignore"):
-        keys = keys / p
+        keys /= p
+    idx = np.argpartition(keys, h - 1, axis=1)[:, :h]
+    out = np.take_along_axis(idx, np.argsort(np.take_along_axis(keys, idx, axis=1),
+                                             axis=1, kind="stable"), axis=1)
     positive = p > 0
-    n_pos = int(positive.sum())
-    if n_pos >= h:
-        idx = np.argpartition(keys, h - 1)[:h]
-        return idx[np.argsort(keys[idx], kind="stable")]
-    winners = np.flatnonzero(positive)
-    winners = winners[np.argsort(keys[winners], kind="stable")]
-    zeros = np.flatnonzero(~positive)
-    pad = rng.choice(zeros, size=h - n_pos, replace=False)
-    return np.concatenate([winners, pad])
+    for r in np.flatnonzero(positive.sum(axis=1) < h):
+        winners = np.flatnonzero(positive[r])
+        winners = winners[np.argsort(keys[r, winners], kind="stable")]
+        pad = rng[r].choice(np.flatnonzero(~positive[r]), size=h - winners.size,
+                            replace=False)
+        out[r] = np.concatenate([winners, pad])
+    return out
 
 
 def _feedback_pair(dots: np.ndarray, beta: float, epsilon: float,

@@ -18,6 +18,7 @@ from .errors import InvalidRequest, InvalidSlate, NoEdges, NumericalError
 PDV_EXACT_LIMIT = 5000
 PDV_DEFAULT_PAIRS = 2_000_000
 PDV_DEFAULT_SEED = 1729
+GRAM_ENTRIES = 1 << 22     # entries of one (rows, n) Gram block in ts_at_k
 
 
 def _as_matrix(states) -> np.ndarray:
@@ -78,13 +79,21 @@ def nd(states, graph: SocialGraph) -> float:
 
 
 def _pairwise_distances_exact(un: np.ndarray) -> np.ndarray:
-    """All i<j distances in lexicographic pair order, matching a nested loop."""
+    """All i<j distances in lexicographic pair order, matching a nested loop,
+    written row by row into one buffer."""
     n = un.shape[1]
-    chunks = []
+    out = np.empty(n * (n - 1) // 2)
     for i in range(n - 1):
         diffs = un[:, i + 1:] - un[:, i:i + 1]
-        chunks.append(np.sqrt((diffs ** 2).sum(axis=0)))
-    return np.concatenate(chunks) if chunks else np.zeros(0)
+        lo = i * (2 * n - i - 1) // 2              # pairs of the rows before i
+        np.add.reduce(np.square(diffs, out=diffs), axis=0, out=out[lo:lo + n - 1 - i])
+    return np.sqrt(out, out=out)
+
+
+def _variance_in_place(d: np.ndarray) -> float:
+    """``np.var(d)`` of a 1-D array, bit for bit, overwriting ``d``."""
+    d -= d.sum(keepdims=True) / d.size
+    return float(np.square(d, out=d).sum() / d.size)
 
 
 def pdv_with_mode(states, mode: str = "auto", pairs: int = PDV_DEFAULT_PAIRS,
@@ -105,21 +114,21 @@ def pdv_with_mode(states, mode: str = "auto", pairs: int = PDV_DEFAULT_PAIRS,
         mode = "exact" if n <= PDV_EXACT_LIMIT else "sampled"
     un = normalize_columns(matrix)
     if mode == "exact":
-        dists = _pairwise_distances_exact(un)
-        return float(np.var(dists)), "exact", None
+        return _variance_in_place(_pairwise_distances_exact(un)), "exact", None
     rng = np.random.default_rng(seed)
     ii = rng.integers(0, n, size=pairs)
     jj = rng.integers(0, n - 1, size=pairs)
     jj = jj + (jj >= ii)
     dists = np.linalg.norm(un[:, ii] - un[:, jj], axis=0)
-    return float(np.var(dists)), "sampled", int(pairs)
+    return _variance_in_place(dists), "sampled", int(pairs)
 
 
-def ts_at_k(states, k: int, chunk: int = 1024) -> float:
+def ts_at_k(states, k: int) -> float:
     """Mean inner product between each user and its k most similar users.
 
     Similarity is the inner product of normalized vectors; self-similarity is
-    excluded (otherwise every user would contribute a constant 1/k term).
+    excluded (otherwise every user would contribute a constant 1/k term). The
+    Gram matrix is formed in blocks of about ``GRAM_ENTRIES`` entries.
     """
     matrix = _as_matrix(states)
     n = matrix.shape[1]
@@ -127,14 +136,14 @@ def ts_at_k(states, k: int, chunk: int = 1024) -> float:
         raise InvalidRequest(f"need 1 <= k <= n-1, got k={k}, n={n}")
     un = normalize_columns(matrix)
     per_user = np.empty(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        gram = un[:, start:stop].T @ un            # (rows, n)
-        rows = np.arange(start, stop)
-        gram[np.arange(stop - start), rows] = -np.inf
-        top = np.partition(gram, n - k, axis=1)[:, n - k:]
-        top.sort(axis=1)                           # fixed summation order
-        per_user[start:stop] = top.mean(axis=1)
+    # No block has a single row: a one-row matmul (gemv) rounds differently.
+    starts = range(0, n - 1, max(2, GRAM_ENTRIES // n))
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        gram = un[:, lo:hi].T @ un                 # (hi - lo, n)
+        gram[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
+        gram.partition(n - k, axis=1)
+        gram[:, n - k:].sort(axis=1)               # fixed summation order
+        per_user[lo:hi] = gram[:, n - k:].mean(axis=1)
     return float(per_user.mean())
 
 

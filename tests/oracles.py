@@ -110,6 +110,36 @@ def influence_reference(edge_array: np.ndarray, n: int):
     return isolated, influence
 
 
+def pairwise_distances_rows(un: np.ndarray) -> np.ndarray:
+    """All i<j column distances in lexicographic pair order, one row of pairs
+    at a time, each row its own array, joined at the end."""
+    n = un.shape[1]
+    chunks = []
+    for i in range(n - 1):
+        diffs = un[:, i + 1:] - un[:, i:i + 1]
+        chunks.append(np.sqrt((diffs ** 2).sum(axis=0)))
+    return np.concatenate(chunks) if chunks else np.zeros(0)
+
+
+def race(p: np.ndarray, h: int, rng: np.random.Generator) -> np.ndarray:
+    """The exponential race for one distribution: m exponentials from
+    ``rng``, the h smallest keys E_j / p_j in key order, and a uniform pad
+    choice from ``rng`` when fewer than h entries are positive."""
+    keys = rng.exponential(size=p.size)
+    with np.errstate(divide="ignore"):
+        keys = keys / p
+    positive = p > 0
+    n_pos = int(positive.sum())
+    if n_pos >= h:
+        idx = np.argpartition(keys, h - 1)[:h]
+        return idx[np.argsort(keys[idx], kind="stable")]
+    winners = np.flatnonzero(positive)
+    winners = winners[np.argsort(keys[winners], kind="stable")]
+    zeros = np.flatnonzero(~positive)
+    pad = rng.choice(zeros, size=h - n_pos, replace=False)
+    return np.concatenate([winners, pad])
+
+
 def vec(U: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization (Fortran order)."""
     return np.asarray(U).reshape(-1, order="F")

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from recloop.cli import main
+from recloop.experiment import build_initial_users, generate_synthetic, ingest_interactions
 
 
 def run_cli(*args):
@@ -167,6 +169,26 @@ class TestSynth:
         assert len(trust) == 12
         users = (tmp_path / "users.csv").read_text().strip().splitlines()
         assert len(users) == 11  # header + 10 users
+
+    def test_output_simulates_and_recovers_users(self, tmp_path):
+        """``simulate`` runs on what ``synth`` writes, and each user's start,
+        built from its synthetic history, points along its synthetic vector."""
+        code = run_cli("synth", "--n", "50", "--m", "1000", "--c", "10",
+                       "--links", "200", "--seed", "3", "--out-dir", str(tmp_path))
+        assert code == 0
+        code = run_cli("simulate", "--items-file", str(tmp_path / "items.csv"),
+                       "--interactions-file", str(tmp_path / "interactions.csv"),
+                       "--trust-file", str(tmp_path / "trust.csv"), "--h", "5",
+                       "--steps", "3", "--ts-k", "5", "--seed", "1",
+                       "--out-dir", str(tmp_path / "out"))
+        assert code == 0
+        ingest = ingest_interactions(tmp_path / "interactions.csv",
+                                     tmp_path / "items.csv")
+        states, substituted = build_initial_users(ingest)
+        assert substituted == [] and ingest.user_ids == [str(i) for i in range(50)]
+        truth = generate_synthetic(50, 1000, 10, 200, 3)[1].user_matrix
+        cosines = (states.user_matrix * truth).sum(axis=0) / np.linalg.norm(truth, axis=0)
+        assert cosines.min() >= 0.99
 
 
 class TestVerifyTheory:

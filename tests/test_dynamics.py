@@ -21,6 +21,8 @@ from recloop.dynamics import StrategyHooks, _feedback_pair, _social_matrix, _sof
 from recloop.errors import InvalidRequest, NumericalError
 from recloop.mitigation import MitigationConfig, build_hooks
 
+from oracles import race
+
 
 def single_category_catalog(counts):
     sets = []
@@ -162,6 +164,24 @@ class TestSampleWithoutReplacement:
                     twin = np.random.default_rng(r)
                     np.testing.assert_array_equal(
                         rows[r], sample_without_replacement(row, h, twin))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 6), m=st.integers(1, 40), data=st.data(),
+           seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 1.0))
+    def test_batched_race_matches_oracle(self, rows, m, data, seed, zeros):
+        """Row by row the oracle's race, padded rows, h = m and one-row blocks
+        included, and each stream is left where the oracle leaves it."""
+        h = data.draw(st.one_of(st.just(m), st.integers(1, m)))
+        rng = np.random.default_rng(seed)
+        p = rng.random((rows, m)) ** 3
+        p[rng.random((rows, m)) < zeros] = 0.0
+        p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
+        streams = [np.random.default_rng([seed, r]) for r in range(rows)]
+        got = sample_without_replacement(p, h, streams)
+        for r in range(rows):
+            twin = np.random.default_rng([seed, r])
+            np.testing.assert_array_equal(got[r], race(p[r], h, twin))
+            assert streams[r].random() == twin.random()
 
     def test_inclusion_frequency_matches_expectation(self):
         """Empirical inclusion rates track h*p_j for a skewed distribution.
@@ -355,7 +375,7 @@ def reference_step(states, catalog, graph, params, rng, hooks=None):
     for i in range(n):
         stream = splitter.user_stream(states.t, i)
         padded[i] = int((probs[:, i] > 0).sum()) < sample_size
-        items = sample_without_replacement(probs[:, i], sample_size, stream)
+        items = race(probs[:, i], sample_size, stream)
         reranked = hooks.rerank(U[:, i], items, catalog, h)
         if reranked is not None:
             items = np.asarray(reranked, dtype=np.int64)

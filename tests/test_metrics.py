@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from recloop import metrics
 from recloop import (
     ItemCatalog,
     build_social_graph,
@@ -17,9 +20,10 @@ from recloop.metrics import (
     pdv_with_mode,
     ra_with_diagnostics,
 )
+from recloop.catalog import normalize_columns
 from recloop.errors import InvalidRequest, InvalidSlate, NoEdges
 
-from oracles import dispersion
+from oracles import dispersion, pairwise_distances_rows
 
 
 def catalog_ten():
@@ -134,6 +138,31 @@ class TestPdv:
             oracle = np.var(np.array(dists))
             assert pdv_with_mode(users, mode="exact")[0] == oracle
 
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.integers(1, 40), n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
+           duplicates=st.floats(0.0, 0.5), zeros=st.floats(0.0, 0.3))
+    def test_exact_is_variance_of_oracle_distances(self, c, n, seed, duplicates, zeros):
+        """Distances and PDV equal, bit for bit, the row-by-row oracle's,
+        with near-duplicate users (1 ulp apart) and zero users mixed in."""
+        rng = np.random.default_rng(seed)
+        users = rng.standard_normal((c, n))
+        twins = rng.random(n) < duplicates
+        users[:, twins] = np.nextafter(users[:, rng.integers(0, n, twins.sum())], np.inf)
+        users[:, rng.random(n) < zeros] = 0.0
+        oracle = pairwise_distances_rows(normalize_columns(users))
+        np.testing.assert_array_equal(
+            metrics._pairwise_distances_exact(normalize_columns(users)), oracle)
+        assert pdv_with_mode(users, mode="exact")[0] == np.var(oracle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=500))
+    def test_in_place_variance_is_np_var(self, values):
+        """Bit-equal to np.var, and computed in the buffer it is given."""
+        x = np.array(values)
+        d = x.copy()
+        assert metrics._variance_in_place(d) == np.var(x)
+        np.testing.assert_array_equal(d, (x - x.mean()) ** 2)
+
     def test_sampled_estimator_close_to_exact(self):
         rng = np.random.default_rng(1)
         users = rng.standard_normal((8, 2000))
@@ -177,10 +206,13 @@ class TestTsAtK:
         values = [ts_at_k(users, k) for k in range(1, 40)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_chunking_does_not_change_result(self):
+    def test_chunking_does_not_change_result(self, monkeypatch):
         rng = np.random.default_rng(4)
         users = rng.standard_normal((5, 57))
-        assert ts_at_k(users, 9, chunk=8) == ts_at_k(users, 9, chunk=1024)
+        whole = ts_at_k(users, 9)
+        for entries in (8 * 57, 1):          # 8-row blocks; 2-row blocks
+            monkeypatch.setattr(metrics, "GRAM_ENTRIES", entries)
+            assert ts_at_k(users, 9) == whole
 
 
 def one_dispersion(u):
