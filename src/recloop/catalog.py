@@ -250,3 +250,12 @@ def normalize_columns(matrix: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=0)
     safe = np.where(norms > 0, norms, 1.0)
     return matrix / safe
+
+
+def row_blocks(n: int, entries: int, width: int) -> list[tuple[int, int]]:
+    """Bounds (lo, hi) of consecutive blocks of about ``entries // width`` of
+    n rows. No block has a single row unless n == 1: the last block takes a
+    one-row remainder, because a one-row matmul (gemv) or one-column reduction
+    rounds differently, and no row's result may depend on the blocking."""
+    starts = range(0, max(n - 1, 1), max(2, entries // width))
+    return list(zip(starts, [*starts[1:], n]))

@@ -1,8 +1,11 @@
 """Command-line interface: simulate, sweep, compare, synth, verify-theory.
 
-Flags mirror the experiment configuration; a JSON config file may supply any
-flag (explicit flags win), and a key that names no flag is a validation
-error. Exit codes: 0 success, 2 validation error, 1 runtime error.
+The run flags are read from the config dataclasses: each field has one flag
+of its type, and the flag's dest is the field's name (``FIELD_OF`` lists the
+three that differ). A JSON config file may supply any flag under its dest
+(explicit flags win); each value is converted with its flag's type and
+choices, and a key that names no flag is a validation error. Exit codes:
+0 success, 2 validation error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -10,8 +13,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -26,61 +31,73 @@ from .errors import (
     RecloopError,
 )
 from .experiment import (
+    PARAM_AXES,
+    SWEEP_AXES,
+    TS_K_DEFAULTS,
     ExperimentConfig,
     RunSummary,
     SyntheticSpec,
+    _write_json,
     compare_runs,
     export_states,
     generate_synthetic,
     run_experiment,
     sweep,
 )
+from .metrics import PDV_MODES
 from .mitigation import MitigationConfig, STRATEGIES
 from .verify import run_verification
 
 VALIDATION_ERRORS = (InvalidRequest, ParseError, InvalidItem, IndexOutOfRange,
                      ValueError)
+# Flag dests that name their field differently.
+FIELD_OF = {"seed": "seeds", "export_states": "export_final_states",
+            "sar_strict": "sar_strict_denominator"}
+CHOICES = {"dataset_kind": tuple(TS_K_DEFAULTS), "pdv_mode": PDV_MODES,
+           "strategy": STRATEGIES}
+HELP = {"n": "synthetic user count", "m": "synthetic item count",
+        "c": "synthetic category count", "links": "synthetic social link count",
+        "export_final_states": "dump per-seed final states"}
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_field_flags(group, cls) -> None:
+    """One flag per scalar field of ``cls``, typed as the field: a bool field
+    is a switch, and ``X | None`` takes X."""
+    dest_of = {name: dest for dest, name in FIELD_OF.items()}
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        kind = next(t for t in typing.get_args(hints[f.name]) or [hints[f.name]]
+                    if t is not type(None))
+        if f.name == "seeds" or dataclasses.is_dataclass(kind):
+            continue
+        flag = "--" + dest_of.get(f.name, f.name).replace("_", "-")
+        if kind is bool:
+            group.add_argument(flag, action="store_true", default=None,
+                               help=HELP.get(f.name))
+        else:
+            group.add_argument(flag, type=kind, choices=CHOICES.get(f.name),
+                               help=HELP.get(f.name))
+
+
+def _run_parser(sub, name: str, help: str, func) -> argparse.ArgumentParser:
+    """A subcommand taking every run flag, ``--config``, ``--seed`` and
+    ``--out-dir``."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--config", help="JSON file supplying any of these flags")
-    ds = p.add_argument_group("dataset")
-    ds.add_argument("--n", type=int, help="synthetic user count")
-    ds.add_argument("--m", type=int, help="synthetic item count")
-    ds.add_argument("--c", type=int, help="synthetic category count")
-    ds.add_argument("--links", type=int, help="synthetic social link count")
-    ds.add_argument("--items-file")
-    ds.add_argument("--interactions-file")
-    ds.add_argument("--trust-file")
-    ds.add_argument("--dataset-kind", choices=("synthetic", "ciao", "epinions"))
-    mp = p.add_argument_group("model parameters")
-    mp.add_argument("--alpha", type=float)
-    mp.add_argument("--beta", type=float)
-    mp.add_argument("--gamma", type=float)
-    mp.add_argument("--epsilon", type=float)
-    mp.add_argument("--eta", type=float)
-    mp.add_argument("--h", type=int)
-    rn = p.add_argument_group("run")
-    rn.add_argument("--steps", type=int)
-    rn.add_argument("--metric-every", type=int)
-    rn.add_argument("--ts-k", type=int)
-    rn.add_argument("--burn-in", type=int)
-    rn.add_argument("--pdv-mode", choices=("auto", "exact", "sampled"))
-    rn.add_argument("--export-states", action="store_true", default=None,
-                    help="dump per-seed final states")
-    mt = p.add_argument_group("mitigation")
-    mt.add_argument("--strategy", choices=STRATEGIES)
-    mt.add_argument("--sigma", type=float)
-    mt.add_argument("--rho", type=float)
-    mt.add_argument("--theta", type=float)
-    mt.add_argument("--omega", type=float)
-    mt.add_argument("--candidate-count", type=int)
-    mt.add_argument("--sar-strict", action="store_true", default=None)
+    for title, cls in (("dataset", SyntheticSpec), ("run", ExperimentConfig),
+                       ("model parameters", ModelParams),
+                       ("mitigation", MitigationConfig)):
+        _add_field_flags(p.add_argument_group(title), cls)
+    p.add_argument("--seed", required=True,
+                   help="comma-separated master seeds, e.g. 1,2,3")
+    p.add_argument("--out-dir", required=True)
+    p.set_defaults(func=functools.partial(func, p))
+    return p
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
     try:
-        seeds = tuple(int(tok) for tok in str(text).split(",") if tok.strip())
+        seeds = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise InvalidRequest(f"bad seed list {text!r}") from exc
     if not seeds:
@@ -88,7 +105,31 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
-def _merge_config_file(args: argparse.Namespace) -> dict:
+def _file_value(action: argparse.Action, key: str, value):
+    """A config-file value converted as its flag converts the command line:
+    a switch takes a JSON bool, any other flag a string or a number (not a
+    bool), and ``seed`` also a list of seeds."""
+    if key == "seed" and isinstance(value, list):
+        value = ",".join(map(str, value))
+    switch = action.nargs == 0
+    if isinstance(value, bool) != switch or not isinstance(value, (int, float, str)):
+        raise InvalidRequest(f"config key {key!r} takes "
+                             f"{'true or false' if switch else 'a string or number'}, "
+                             f"not {json.dumps(value)}")
+    if switch:
+        return value
+    try:
+        value = (action.type or str)(str(value))
+    except ValueError as exc:
+        raise InvalidRequest(f"config key {key!r}: {exc}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise InvalidRequest(f"config key {key!r} must be one of "
+                             f"{tuple(action.choices)}, not {value!r}")
+    return value
+
+
+def _merge_config_file(parser: argparse.ArgumentParser,
+                       args: argparse.Namespace) -> dict:
     """The config file's keys, each the dest of a flag (e.g. ``ts_k``), under
     the flags given on the command line; any other file key is rejected."""
     merged: dict = {}
@@ -106,6 +147,9 @@ def _merge_config_file(args: argparse.Namespace) -> dict:
         if unknown:
             raise InvalidRequest(f"unknown key(s) {', '.join(map(repr, unknown))} "
                                  f"in config {args.config}")
+        actions = {action.dest: action for action in parser._actions}
+        merged = {key: _file_value(actions[key], key, value)
+                  for key, value in merged.items()}
     for key, value in vars(args).items():
         if key in ("config", "command", "func") or value is None:
             continue
@@ -114,59 +158,22 @@ def _merge_config_file(args: argparse.Namespace) -> dict:
 
 
 def _config_from_dict(data: dict) -> ExperimentConfig:
-    params = ModelParams(
-        alpha=float(data.get("alpha", 5.0)),
-        beta=float(data.get("beta", 5.0)),
-        gamma=float(data.get("gamma", 0.5)),
-        epsilon=float(data.get("epsilon", 0.0)),
-        eta=float(data.get("eta", 0.1)),
-        h=int(data.get("h", 20)),
-    )
-    mitigation = MitigationConfig(
-        strategy=data.get("strategy", "none"),
-        sigma=float(data.get("sigma", 10.0)),
-        rho=float(data.get("rho", 0.02)),
-        theta=float(data.get("theta", 0.501)),
-        omega=float(data.get("omega", 1000.0)),
-        candidate_count=int(data.get("candidate_count", 1000)),
-        sar_strict_denominator=bool(data.get("sar_strict", False)),
-    )
-    synthetic = None
-    if data.get("items_file") is None:
-        synthetic = SyntheticSpec(
-            n=int(data.get("n", 1000)),
-            m=int(data.get("m", 10000)),
-            c=int(data.get("c", 10)),
-            links=int(data.get("links", 10000)),
-        )
-    seeds = data.get("seed")
-    if seeds is None:
-        raise InvalidRequest("--seed is required")
-    if isinstance(seeds, (int, str)):
-        seeds = _parse_seeds(str(seeds))
-    else:
-        seeds = tuple(int(s) for s in seeds)
-    return ExperimentConfig(
-        seeds=seeds,
-        steps=int(data.get("steps", 300)),
-        synthetic=synthetic,
-        items_file=data.get("items_file"),
-        interactions_file=data.get("interactions_file"),
-        trust_file=data.get("trust_file"),
-        dataset_kind=data.get("dataset_kind", "synthetic"),
-        params=params,
-        mitigation=mitigation,
-        metric_every=data.get("metric_every"),
-        ts_k=data.get("ts_k"),
-        burn_in=int(data.get("burn_in", 0)),
-        export_final_states=bool(data.get("export_states", False)),
-        pdv_mode=data.get("pdv_mode", "auto"),
-    )
+    """The config whose fields the keys of ``data`` name, through
+    ``FIELD_OF``; an absent key leaves its field's default."""
+    values = {FIELD_OF.get(key, key): value for key, value in data.items()}
+    values["seeds"] = _parse_seeds(values["seeds"])
+
+    def build(cls, **nested):
+        return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls)
+                      if f.name in values}, **nested)
+
+    synthetic = build(SyntheticSpec) if values.get("items_file") is None else None
+    return build(ExperimentConfig, synthetic=synthetic, params=build(ModelParams),
+                 mitigation=build(MitigationConfig))
 
 
-def _cmd_simulate(args) -> int:
-    data = _merge_config_file(args)
-    config = _config_from_dict(data)
+def _cmd_simulate(parser, args) -> int:
+    config = _config_from_dict(_merge_config_file(parser, args))
     summary = run_experiment(config, args.out_dir)
     print(f"wrote {Path(args.out_dir) / 'metrics.csv'} and summary.json")
     for name, stats in summary.stats.items():
@@ -175,11 +182,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    data = _merge_config_file(args)
-    config = _config_from_dict(data)
-    values = [float(tok) if args.axis in ("alpha", "beta", "gamma", "epsilon")
-              else int(tok) for tok in args.values.split(",") if tok.strip()]
+def _cmd_sweep(parser, args) -> int:
+    config = _config_from_dict(_merge_config_file(parser, args))
+    kind = float if args.axis in PARAM_AXES else int
+    values = [kind(tok) for tok in args.values.split(",") if tok.strip()]
     results = sweep(config, args.axis, values, args.out_dir)
     print(f"swept {args.axis} over {values}: {len(results)} summaries "
           f"under {args.out_dir}")
@@ -209,10 +215,7 @@ def _cmd_compare(args) -> int:
         print(f"{row.metric:10s} {row.arrow:5s} {row.baseline_mean:12.6f} "
               f"{row.candidate_mean:12.6f} {row.improvement_pct:9.2f} {p:>8s}")
     if args.out:
-        payload = [dataclasses.asdict(row) for row in rows]
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.out, [dataclasses.asdict(row) for row in rows])
     return 0
 
 
@@ -280,23 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Closed-loop recommender-user dynamics simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run one configuration")
-    _add_common_flags(p_sim)
-    p_sim.add_argument("--seed", required=True,
-                       help="comma-separated master seeds, e.g. 1,2,3")
-    p_sim.add_argument("--out-dir", required=True)
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_sweep = sub.add_parser("sweep", help="vary one axis, rerun per value")
-    _add_common_flags(p_sweep)
-    p_sweep.add_argument("--seed", required=True)
-    p_sweep.add_argument("--out-dir", required=True)
-    p_sweep.add_argument("--axis", required=True,
-                         choices=("alpha", "beta", "gamma", "epsilon",
-                                  "m", "links", "c"))
+    _run_parser(sub, "simulate", "run one configuration", _cmd_simulate)
+    p_sweep = _run_parser(sub, "sweep", "vary one axis, rerun per value", _cmd_sweep)
+    p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values")
-    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="improvement table of two summaries")
     p_cmp.add_argument("--candidate", required=True)
@@ -305,10 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_synth = sub.add_parser("synth", help="emit a synthetic dataset to disk")
-    p_synth.add_argument("--n", type=int, default=1000)
-    p_synth.add_argument("--m", type=int, default=10000)
-    p_synth.add_argument("--c", type=int, default=10)
-    p_synth.add_argument("--links", type=int, default=10000)
+    _add_field_flags(p_synth, SyntheticSpec)
+    p_synth.set_defaults(**dataclasses.asdict(SyntheticSpec()))
     p_synth.add_argument("--seed", type=int, required=True)
     p_synth.add_argument("--out-dir", required=True)
     p_synth.set_defaults(func=_cmd_synth)

@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .catalog import ItemCatalog, ModelParams, SocialGraph, UserStates
+from .catalog import ItemCatalog, ModelParams, SocialGraph, UserStates, row_blocks
 from .errors import InvalidRequest, NumericalError
 from .metrics import MetricSettings, MetricsRecord, compute_metrics_record
 
@@ -224,11 +224,7 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     padded = np.empty(n, dtype=bool)
     probabilities = np.empty((m, n)) if record_probabilities else None
 
-    # Blocks of about BLOCK_ENTRIES // m users. None has a single user unless
-    # n == 1: a one-column matmul (gemv) and column sum round differently, and
-    # no user's probabilities may depend on the blocking.
-    starts = range(0, max(n - 1, 1), max(2, BLOCK_ENTRIES // m))
-    for lo, hi in zip(starts, [*starts[1:], n]):
+    for lo, hi in row_blocks(n, BLOCK_ENTRIES, m):
         probs = _softmax((V.T @ social[:, lo:hi]) * alphas[None, lo:hi])   # (m, block)
         padded[lo:hi] = (probs > 0).sum(axis=0) < sample_size
         if probabilities is not None:
@@ -272,11 +268,14 @@ class Trajectory:
     padded_slates: int = 0
 
 
-def default_metric_schedule(T: int) -> list[int]:
-    """Every step through T=1000, every 10th step beyond, final step always."""
-    if T <= 1000:
-        return list(range(T))
-    steps = list(range(0, T, 10))
+def metric_steps(T: int, every: int | None = None) -> list[int]:
+    """Every ``every``-th step of T, the final step always included. Without
+    ``every``: every step through T=1000, every 10th step beyond."""
+    if every is None:
+        every = 1 if T <= 1000 else 10
+    if every < 1:
+        raise InvalidRequest("metric_every must be >= 1")
+    steps = list(range(0, T, every))
     if steps[-1] != T - 1:
         steps.append(T - 1)
     return steps
@@ -297,7 +296,7 @@ def run(initial_states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     """
     if T < 1:
         raise InvalidRequest(f"need T >= 1, got {T}")
-    schedule = set(default_metric_schedule(T) if metric_schedule is None
+    schedule = set(metric_steps(T) if metric_schedule is None
                    else (int(s) for s in metric_schedule))
     if settings is None:
         settings = MetricSettings(ts_k=min(50, initial_states.n - 1))

@@ -34,7 +34,7 @@ from .catalog import (
     init_user_random,
     normalize_columns,
 )
-from .dynamics import Trajectory, default_metric_schedule, run
+from .dynamics import Trajectory, metric_steps, run
 from .errors import DegenerateHistory, InvalidRequest, IoError, ParseError
 from .metrics import MetricSettings
 from .mitigation import MitigationConfig, build_hooks
@@ -46,7 +46,8 @@ METRIC_NAMES = ("rce", "ra", "nd", "pdv", "ts_at_k")
 # Higher is better for the first three, lower for the last two.
 METRIC_ARROWS = {"rce": 1, "ra": 1, "nd": 1, "pdv": -1, "ts_at_k": -1}
 FALLBACK_INIT_TAG = 9001   # entropy tag for degenerate-history substitutions
-SWEEP_AXES = ("alpha", "beta", "gamma", "epsilon", "m", "links", "c")
+PARAM_AXES = ("alpha", "beta", "gamma", "epsilon")     # ModelParams fields
+SWEEP_AXES = PARAM_AXES + ("m", "links", "c")            # and SyntheticSpec fields
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,7 @@ class IngestResult:
     positives: list[set[int]]       # per internal user index
     negatives: list[set[int]]
     user_ids: list[str]             # internal index -> original id
-    item_ids: list[str]
     user_index: dict[str, int]
-    item_index: dict[str, int]
 
     @property
     def n(self) -> int:
@@ -137,7 +136,6 @@ def ingest_interactions(interactions_path, items_path) -> IngestResult:
     Ratings greater than or equal to 3 land in the positive set, the rest in
     the negative set. Internal indices follow first-seen order.
     """
-    item_ids: list[str] = []
     item_index: dict[str, int] = {}
     category_sets: list[tuple[int, ...]] = []
     max_cat = -1
@@ -152,11 +150,10 @@ def ingest_interactions(interactions_path, items_path) -> IngestResult:
             raise ParseError(f"item {item_id!r} has no categories", line=lineno)
         if min(cats) < 0:
             raise ParseError(f"negative category in {cats_field!r}", line=lineno)
-        item_index[item_id] = len(item_ids)
-        item_ids.append(item_id)
+        item_index[item_id] = len(item_index)
         category_sets.append(cats)
         max_cat = max(max_cat, cats[-1])
-    if not item_ids:
+    if not item_index:
         raise ParseError(f"no items found in {items_path}")
     catalog = ItemCatalog.from_category_sets(category_sets, max_cat + 1)
 
@@ -180,8 +177,7 @@ def ingest_interactions(interactions_path, items_path) -> IngestResult:
         j = item_index[item_id]
         (positives if rating >= 3 else negatives)[u].add(j)
     return IngestResult(catalog=catalog, positives=positives, negatives=negatives,
-                        user_ids=user_ids, item_ids=item_ids,
-                        user_index=user_index, item_index=item_index)
+                        user_ids=user_ids, user_index=user_index)
 
 
 def ingest_trust(trust_path, n: int,
@@ -296,30 +292,9 @@ class RunSummary:
     series: dict[str, tuple[float, ...]]      # keyed by metric name
     config: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "seeds": list(self.seeds),
-            "steps": self.steps,
-            "schedule": list(self.schedule),
-            "burn_in": self.burn_in,
-            "k_used": self.k_used,
-            "pdv_mode": self.pdv_mode,
-            "stats": {
-                name: {
-                    "mean": s.mean,
-                    "std": s.std,
-                    "ci95": s.ci95,
-                    "per_seed": list(s.per_seed),
-                }
-                for name, s in self.stats.items()
-            },
-            "series": {name: list(vals) for name, vals in self.series.items()},
-            "config": self.config,
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunSummary":
-        """Inverse of ``to_json_dict``; a malformed summary raises ParseError."""
+        """Inverse of ``dataclasses.asdict``; a malformed summary raises ParseError."""
         if not isinstance(data, dict):
             raise ParseError(f"summary must be a JSON object, not {type(data).__name__}")
         try:
@@ -344,17 +319,6 @@ class RunSummary:
             raise ParseError(f"summary lacks key {exc.args[0]!r}") from exc
         except (TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"malformed summary: {exc}") from exc
-
-
-def _metric_schedule(config: ExperimentConfig) -> list[int]:
-    if config.metric_every is None:
-        return default_metric_schedule(config.steps)
-    if config.metric_every < 1:
-        raise InvalidRequest("metric_every must be >= 1")
-    steps = list(range(0, config.steps, config.metric_every))
-    if steps[-1] != config.steps - 1:
-        steps.append(config.steps - 1)
-    return steps
 
 
 def build_dataset(config: ExperimentConfig,
@@ -394,7 +358,7 @@ def run_experiment(config: ExperimentConfig,
     and per-seed final-state dumps when requested. With ``out_dir=None``
     nothing is written and only the summary is returned.
     """
-    schedule = _metric_schedule(config)
+    schedule = metric_steps(config.steps, config.metric_every)
     trajectories: dict[int, Trajectory] = {}
     k_used = None
     # ``run`` copies the initial states and only reads the catalog and graph,
@@ -416,7 +380,7 @@ def run_experiment(config: ExperimentConfig,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_metrics_csv(out / "metrics.csv", config.seeds, trajectories)
-        _write_json(out / "summary.json", summary.to_json_dict())
+        _write_json(out / "summary.json", dataclasses.asdict(summary))
         if config.export_final_states:
             for seed in config.seeds:
                 export_states(trajectories[seed].final_states,
@@ -429,13 +393,11 @@ def summarize(config: ExperimentConfig, schedule: Sequence[int], k_used: int,
     kept = [t for t in schedule if t >= config.burn_in]
     stats: dict[str, MetricStats] = {}
     series: dict[str, tuple[float, ...]] = {}
-    per_metric_rows = {}
     for name in METRIC_NAMES:
         rows = np.array([
             [getattr(rec, name) for rec in trajectories[seed].records]
             for seed in config.seeds
         ])                                        # (seeds, len(schedule))
-        per_metric_rows[name] = rows
         keep_mask = np.isin(np.array(schedule), kept)
         per_seed = rows[:, keep_mask].mean(axis=1)
         mean = float(per_seed.mean())
@@ -462,14 +424,8 @@ def summarize(config: ExperimentConfig, schedule: Sequence[int], k_used: int,
         pdv_mode=",".join(sorted(pdv_modes)),
         stats=stats,
         series=series,
-        config=_logical_config(config),
+        config=dataclasses.asdict(config),
     )
-
-
-def _logical_config(config: ExperimentConfig) -> dict:
-    data = dataclasses.asdict(config)
-    data["seeds"] = list(config.seeds)
-    return data
 
 
 def _write_metrics_csv(path, seeds, trajectories):
@@ -557,13 +513,13 @@ def sweep(config: ExperimentConfig, axis: str, values: Sequence,
     values = list(values)
     if len(set(values)) != len(values):
         raise InvalidRequest("sweep values must be distinct")
-    if axis in ("m", "links", "c") and config.synthetic is None:
+    if axis not in PARAM_AXES and config.synthetic is None:
         raise InvalidRequest(f"axis {axis!r} requires a synthetic dataset")
 
     results: dict = {}
     rows = []
     for value in values:
-        if axis in ("alpha", "beta", "gamma", "epsilon"):
+        if axis in PARAM_AXES:
             new_params = dataclasses.replace(config.params, **{axis: float(value)})
             sub = dataclasses.replace(config, params=new_params)
         else:

@@ -12,13 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import ItemCatalog, SocialGraph, UserStates, normalize_columns
+from .catalog import ItemCatalog, SocialGraph, UserStates, normalize_columns, row_blocks
 from .errors import InvalidRequest, InvalidSlate, NoEdges, NumericalError
 
 PDV_EXACT_LIMIT = 5000
 PDV_DEFAULT_PAIRS = 2_000_000
 PDV_DEFAULT_SEED = 1729
+PDV_MODES = ("auto", "exact", "sampled")
 GRAM_ENTRIES = 1 << 22     # entries of one (rows, n) Gram block in ts_at_k
+PAIR_ENTRIES = 1 << 22     # entries of one (c, pairs) block of sampled PDV
 
 
 def _as_matrix(states) -> np.ndarray:
@@ -101,14 +103,15 @@ def pdv_with_mode(states, mode: str = "auto", pairs: int = PDV_DEFAULT_PAIRS,
     """Population variance of pairwise normalized distances.
 
     Exact over all n(n-1)/2 pairs up to n=5000 (or on request); beyond that a
-    uniform pair sample with a fixed seed estimates it. Returns the value, the
-    mode actually used, and the number of sampled pairs (None when exact).
+    uniform pair sample with a fixed seed estimates it, in blocks of about
+    ``PAIR_ENTRIES`` coordinates. Returns the value, the mode actually used,
+    and the number of sampled pairs (None when exact).
     """
     matrix = _as_matrix(states)
     n = matrix.shape[1]
     if n < 2:
         raise InvalidRequest("pairwise distance variance needs n >= 2 users")
-    if mode not in ("auto", "exact", "sampled"):
+    if mode not in PDV_MODES:
         raise InvalidRequest(f"unknown pdv mode {mode!r}")
     if mode == "auto":
         mode = "exact" if n <= PDV_EXACT_LIMIT else "sampled"
@@ -119,8 +122,14 @@ def pdv_with_mode(states, mode: str = "auto", pairs: int = PDV_DEFAULT_PAIRS,
     ii = rng.integers(0, n, size=pairs)
     jj = rng.integers(0, n - 1, size=pairs)
     jj = jj + (jj >= ii)
-    dists = np.linalg.norm(un[:, ii] - un[:, jj], axis=0)
-    return _variance_in_place(dists), "sampled", int(pairs)
+    dists = np.empty(pairs)
+    # Each gathered column is contiguous, so every pair's squares are summed
+    # in the order np.linalg.norm sums them, whatever the block.
+    for lo, hi in row_blocks(pairs, PAIR_ENTRIES, un.shape[0]):
+        diffs = un[:, ii[lo:hi]]
+        diffs -= un[:, jj[lo:hi]]
+        np.add.reduce(np.square(diffs, out=diffs), axis=0, out=dists[lo:hi])
+    return _variance_in_place(np.sqrt(dists, out=dists)), "sampled", int(pairs)
 
 
 def ts_at_k(states, k: int) -> float:
@@ -136,9 +145,7 @@ def ts_at_k(states, k: int) -> float:
         raise InvalidRequest(f"need 1 <= k <= n-1, got k={k}, n={n}")
     un = normalize_columns(matrix)
     per_user = np.empty(n)
-    # No block has a single row: a one-row matmul (gemv) rounds differently.
-    starts = range(0, n - 1, max(2, GRAM_ENTRIES // n))
-    for lo, hi in zip(starts, [*starts[1:], n]):
+    for lo, hi in row_blocks(n, GRAM_ENTRIES, n):
         gram = un[:, lo:hi].T @ un                 # (hi - lo, n)
         gram[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
         gram.partition(n - k, axis=1)

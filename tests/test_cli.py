@@ -1,5 +1,6 @@
 """CLI verbs, exit codes, and byte-level determinism of outputs."""
 
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from recloop import MitigationConfig, ModelParams
 from recloop.cli import main
 from recloop.experiment import build_initial_users, generate_synthetic, ingest_interactions
 
@@ -83,7 +85,13 @@ class TestSimulate:
         ({"alpah": 0.0}, "'alpah'"),
         ({"ua_rescale_by_n": True}, "'ua_rescale_by_n'"),
         ([["alpha", 1.0]], "JSON object"),
-    ], ids=["misspelt", "removed", "not-an-object"])
+        ({"alpha": None}, "'alpha'"),
+        ({"ts_k": 2.5}, "'ts_k'"),
+        ({"h": 5.9}, "'h'"),
+        ({"export_states": "no"}, "'export_states'"),
+        ({"pdv_mode": "fast"}, "'pdv_mode'"),
+    ], ids=["misspelt", "removed", "not-an-object", "null", "float-for-int",
+            "truncated-int", "string-for-switch", "bad-choice"])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, content, message):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(content))
@@ -92,6 +100,34 @@ class TestSimulate:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_config_file_equals_flags(self, tmp_path):
+        """A config file is read as its flags are: both write the same bytes."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "n": 12, "m": 40, "c": 4, "links": 20, "h": 5, "steps": 6, "ts_k": 3,
+            "alpha": 2, "metric_every": "2", "burn_in": 1, "strategy": "sar",
+            "omega": 10, "sar_strict": True, "export_states": True, "seed": [1, 2]}))
+        assert run_cli("simulate", "--config", str(cfg), "--seed", "1,2",
+                       "--out-dir", str(tmp_path / "file")) == 0
+        assert run_cli("simulate", *BASE, "--alpha", "2", "--metric-every", "2",
+                       "--burn-in", "1", "--strategy", "sar", "--omega", "10",
+                       "--sar-strict", "--export-states", "--seed", "1,2",
+                       "--out-dir", str(tmp_path / "flags")) == 0
+        written = {p.name: p.read_bytes() for p in (tmp_path / "file").iterdir()}
+        assert len(written) == 4          # metrics, summary, two state dumps
+        assert written == {p.name: p.read_bytes()
+                           for p in (tmp_path / "flags").iterdir()}
+
+    def test_defaults_are_the_dataclasses(self, tmp_path):
+        """With no model or mitigation flag, the run records the dataclass
+        defaults."""
+        assert run_cli("simulate", "--n", "12", "--m", "40", "--c", "4",
+                       "--links", "20", "--steps", "2", "--ts-k", "3",
+                       "--seed", "1", "--out-dir", str(tmp_path)) == 0
+        config = json.loads((tmp_path / "summary.json").read_text())["config"]
+        assert config["params"] == dataclasses.asdict(ModelParams())
+        assert config["mitigation"] == dataclasses.asdict(MitigationConfig())
 
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

@@ -1,5 +1,7 @@
 """Echo-chamber / homogenization metric definitions against brute-force oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,23 @@ class TestPdv:
         d = x.copy()
         assert metrics._variance_in_place(d) == np.var(x)
         np.testing.assert_array_equal(d, (x - x.mean()) ** 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.integers(1, 40), n=st.integers(2, 50), pairs=st.integers(1, 300),
+           entries=st.integers(1, 160), seed=st.integers(0, 2**32 - 1))
+    def test_sampled_blocks_do_not_change_result(self, c, n, pairs, entries, seed):
+        """Sampled PDV in blocks of pairs equals, bit for bit, the variance of
+        the norms of all sampled differences taken at once."""
+        users = np.random.default_rng(seed).standard_normal((c, n))
+        rng = np.random.default_rng(seed + 1)     # the pair draws pdv_with_mode makes
+        ii = rng.integers(0, n, size=pairs)
+        jj = rng.integers(0, n - 1, size=pairs)
+        jj = jj + (jj >= ii)
+        un = normalize_columns(users)
+        whole = np.var(np.linalg.norm(un[:, ii] - un[:, jj], axis=0))
+        assert pdv_with_mode(users, "sampled", pairs=pairs, seed=seed + 1)[0] == whole
+        with mock.patch.object(metrics, "PAIR_ENTRIES", entries):
+            assert pdv_with_mode(users, "sampled", pairs=pairs, seed=seed + 1)[0] == whole
 
     def test_sampled_estimator_close_to_exact(self):
         rng = np.random.default_rng(1)
