@@ -12,7 +12,6 @@ from .catalog import (
     UserStates,
     build_item_vector,
     build_social_graph,
-    init_user_from_history,
     init_user_random,
     normalize_columns,
 )

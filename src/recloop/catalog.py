@@ -15,7 +15,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (
-    DegenerateHistory,
     IndexOutOfRange,
     InvalidItem,
     InvalidRequest,
@@ -77,31 +76,6 @@ class ItemCatalog:
         return all(len(s) == 1 for s in self.category_sets)
 
 
-def init_user_from_history(
-    positives: Iterable[int], negatives: Iterable[int], catalog: ItemCatalog
-) -> np.ndarray:
-    """Normalized difference of positive and negative item-vector sums.
-
-    Raises DegenerateHistory when the difference vector (nearly) cancels,
-    e.g. identical positive and negative sets; callers that substitute a
-    random init must log the substitution.
-    """
-    pos = np.asarray(sorted(set(int(j) for j in positives)), dtype=int)
-    neg = np.asarray(sorted(set(int(j) for j in negatives)), dtype=int)
-    for idx in (pos, neg):
-        if idx.size and (idx[0] < 0 or idx[-1] >= catalog.m):
-            raise IndexOutOfRange(f"item index out of range for m={catalog.m}")
-    diff = np.zeros(catalog.c)
-    if pos.size:
-        diff += catalog.item_vectors[:, pos].sum(axis=1)
-    if neg.size:
-        diff -= catalog.item_vectors[:, neg].sum(axis=1)
-    norm = float(np.linalg.norm(diff))
-    if norm < UNIT_NORM_TOL:
-        raise DegenerateHistory("interaction history cancels to a zero vector")
-    return diff / norm
-
-
 def init_user_random(seed, c: int) -> np.ndarray:
     """Standard-normal draw scaled to unit norm; deterministic for a fixed seed.
 
@@ -146,15 +120,17 @@ class SocialGraph:
 def build_social_graph(edges: Iterable[tuple[int, int]], n: int) -> SocialGraph:
     """Build the deduplicated edge array and the row-stochastic influence matrix.
 
-    Accepts ordered pairs (i, j) meaning i trusts j. Duplicates are
-    deduplicated and self-pairs ignored; isolated users receive a self-loop
-    influence row. Input that is not (i, j) integer pairs raises ParseError;
-    IndexOutOfRange names the first out-of-range edge in input order.
+    Accepts ordered pairs (i, j) meaning i trusts j, or an (E, 2) array of
+    them. Duplicates are deduplicated and self-pairs ignored; isolated users
+    receive a self-loop influence row. Input that is not (i, j) integer pairs
+    raises ParseError; IndexOutOfRange names the first out-of-range edge in
+    input order.
     """
-    edges = list(edges)
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
     try:
-        pairs = np.array(edges, dtype=np.int64)
-        pairs = pairs.reshape(len(edges), -1 if edges else 2)
+        pairs = np.asarray(edges, dtype=np.int64)
+        pairs = pairs.reshape(len(edges), -1 if len(edges) else 2)
         if pairs.shape[1] != 2:
             raise ValueError(f"got {edges[0]!r}")
     except (TypeError, ValueError) as exc:

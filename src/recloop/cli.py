@@ -3,7 +3,8 @@
 The run flags are read from the config dataclasses: each field has one flag
 of its type, and the flag's dest is the field's name (``FIELD_OF`` lists the
 three that differ). A JSON config file may supply any flag under its dest
-(explicit flags win); each value is converted with its flag's type and
+(explicit flags win), ``seed`` and ``out_dir`` included, so a file can
+describe a whole run; each value is converted with its flag's type and
 choices, and a key that names no flag is a validation error. Exit codes:
 0 success, 2 validation error, 1 runtime error.
 """
@@ -55,6 +56,7 @@ FIELD_OF = {"seed": "seeds", "export_states": "export_final_states",
             "sar_strict": "sar_strict_denominator"}
 CHOICES = {"dataset_kind": tuple(TS_K_DEFAULTS), "pdv_mode": PDV_MODES,
            "strategy": STRATEGIES}
+REQUIRED = ("seed", "out_dir")     # from a flag or the config file
 HELP = {"n": "synthetic user count", "m": "synthetic item count",
         "c": "synthetic category count", "links": "synthetic social link count",
         "export_final_states": "dump per-seed final states"}
@@ -81,16 +83,15 @@ def _add_field_flags(group, cls) -> None:
 
 def _run_parser(sub, name: str, help: str, func) -> argparse.ArgumentParser:
     """A subcommand taking every run flag, ``--config``, ``--seed`` and
-    ``--out-dir``."""
+    ``--out-dir``; the last two may come from the config file instead."""
     p = sub.add_parser(name, help=help)
     p.add_argument("--config", help="JSON file supplying any of these flags")
     for title, cls in (("dataset", SyntheticSpec), ("run", ExperimentConfig),
                        ("model parameters", ModelParams),
                        ("mitigation", MitigationConfig)):
         _add_field_flags(p.add_argument_group(title), cls)
-    p.add_argument("--seed", required=True,
-                   help="comma-separated master seeds, e.g. 1,2,3")
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--seed", help="comma-separated master seeds, e.g. 1,2,3")
+    p.add_argument("--out-dir")
     p.set_defaults(func=functools.partial(func, p))
     return p
 
@@ -154,6 +155,10 @@ def _merge_config_file(parser: argparse.ArgumentParser,
         if key in ("config", "command", "func") or value is None:
             continue
         merged[key] = value
+    for key in REQUIRED:
+        if key not in merged:
+            parser.error(f"the following arguments are required: "
+                         f"--{key.replace('_', '-')} (or config key {key!r})")
     return merged
 
 
@@ -173,9 +178,9 @@ def _config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def _cmd_simulate(parser, args) -> int:
-    config = _config_from_dict(_merge_config_file(parser, args))
-    summary = run_experiment(config, args.out_dir)
-    print(f"wrote {Path(args.out_dir) / 'metrics.csv'} and summary.json")
+    merged = _merge_config_file(parser, args)
+    summary = run_experiment(_config_from_dict(merged), merged["out_dir"])
+    print(f"wrote {Path(merged['out_dir']) / 'metrics.csv'} and summary.json")
     for name, stats in summary.stats.items():
         ci = f" +/- {stats.ci95:.4g}" if stats.ci95 is not None else ""
         print(f"  {name:8s} time-avg mean = {stats.mean:.6g}{ci}")
@@ -183,12 +188,12 @@ def _cmd_simulate(parser, args) -> int:
 
 
 def _cmd_sweep(parser, args) -> int:
-    config = _config_from_dict(_merge_config_file(parser, args))
+    merged = _merge_config_file(parser, args)
     kind = float if args.axis in PARAM_AXES else int
     values = [kind(tok) for tok in args.values.split(",") if tok.strip()]
-    results = sweep(config, args.axis, values, args.out_dir)
+    results = sweep(_config_from_dict(merged), args.axis, values, merged["out_dir"])
     print(f"swept {args.axis} over {values}: {len(results)} summaries "
-          f"under {args.out_dir}")
+          f"under {merged['out_dir']}")
     return 0
 
 

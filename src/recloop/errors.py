@@ -13,10 +13,6 @@ class IndexOutOfRange(RecloopError):
     """A user/item/category index exceeds the declared dimensions."""
 
 
-class DegenerateHistory(RecloopError):
-    """Interaction history cancels to a (near-)zero vector and cannot seed a user."""
-
-
 class InvalidRequest(RecloopError):
     """Arguments are structurally valid but violate an operation's preconditions."""
 

@@ -6,6 +6,14 @@ File formats are plain headerless UTF-8 CSV:
 * interactions:  ``user_id,item_id,rating``  (rating >= 3 counts as positive)
 * trust:         ``truster_id,trustee_id``
 
+Fields are split at every comma and stripped of surrounding whitespace;
+quoting is not supported, and a field that starts with ``"`` is an error.
+Lines end with \\n, \\r\\n or \\r, and a line with no comma and nothing but
+whitespace is skipped. Each error names its 1-based line, the first bad
+line of the file. A file is read in blocks of ``BLOCK_LINES`` lines, each
+split and checked as a whole, and ingestion keeps one array row per rating
+rather than Python sets per user.
+
 Internal user and item indices are contiguous and assigned in first-seen
 order. Every output artefact is a pure function of (config, seeds): reruns
 are byte-identical.
@@ -15,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -25,17 +34,17 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import (
+    UNIT_NORM_TOL,
     ItemCatalog,
     ModelParams,
     SocialGraph,
     UserStates,
     build_social_graph,
-    init_user_from_history,
     init_user_random,
     normalize_columns,
 )
 from .dynamics import Trajectory, metric_steps, run
-from .errors import DegenerateHistory, InvalidRequest, IoError, ParseError
+from .errors import IndexOutOfRange, InvalidRequest, IoError, ParseError
 from .metrics import MetricSettings
 from .mitigation import MitigationConfig, build_hooks
 
@@ -46,6 +55,8 @@ METRIC_NAMES = ("rce", "ra", "nd", "pdv", "ts_at_k")
 # Higher is better for the first three, lower for the last two.
 METRIC_ARROWS = {"rce": 1, "ra": 1, "nd": 1, "pdv": -1, "ts_at_k": -1}
 FALLBACK_INIT_TAG = 9001   # entropy tag for degenerate-history substitutions
+BLOCK_LINES = 1 << 16      # \n-ended lines of a dataset file parsed at once
+HISTORY_ENTRIES = 1 << 20  # entries of one (c, histories, L) gather of item vectors
 PARAM_AXES = ("alpha", "beta", "gamma", "epsilon")     # ModelParams fields
 SWEEP_AXES = PARAM_AXES + ("m", "links", "c")            # and SyntheticSpec fields
 
@@ -103,9 +114,12 @@ class ExperimentConfig:
 
 @dataclass
 class IngestResult:
+    """The catalog, and one row per rating: its user, item and sign."""
+
     catalog: ItemCatalog
-    positives: list[set[int]]       # per internal user index
-    negatives: list[set[int]]
+    user: np.ndarray                # (R,) internal user index
+    item: np.ndarray                # (R,) internal item index
+    positive: np.ndarray            # (R,) bool: rating >= 3
     user_ids: list[str]             # internal index -> original id
     user_index: dict[str, int]
 
@@ -114,70 +128,144 @@ class IngestResult:
         return len(self.user_ids)
 
 
-def _read_rows(path, expected_fields: int):
+def _universal(text: str) -> str:
+    """``text`` with the line ends of text mode: \\r\\n and \\r become \\n."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _read_blocks(path, expected_fields: int):
+    """Yield (line numbers, columns) per block of up to ``BLOCK_LINES`` lines.
+
+    Each block gives its rows' 1-based line numbers (an int array) and one
+    list of stripped values per field. A line with no comma and nothing but
+    whitespace is skipped. A block's rows are yielded up to its first
+    malformed line, which then raises ParseError: a field that starts with a
+    quote, the wrong field count or bytes that are not UTF-8.
+    """
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, "rb")
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
+    done = 0                         # lines in the blocks before this one
     with handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != expected_fields:
-                raise ParseError(
-                    f"expected {expected_fields} fields, got {len(row)}",
-                    line=lineno)
-            yield lineno, [f.strip() for f in row]
+        while chunk := b"".join(itertools.islice(handle, BLOCK_LINES)):
+            try:
+                text, undecodable = _universal(chunk.decode("utf-8")), None
+            except UnicodeDecodeError as exc:
+                # Parse the lines before the undecodable one, then raise.
+                text = _universal(chunk[:exc.start].decode("utf-8"))
+                undecodable = ParseError(
+                    f"cannot decode {chunk[exc.start:exc.end]!r} as UTF-8: "
+                    f"{exc.reason}", line=done + text.count("\n") + 1)
+                text = text[:text.rfind("\n") + 1]
+            lines = text.split("\n")
+            if not lines[-1]:
+                lines.pop()          # the end of the last line, not a line
+            odd = np.array([line.count(",") != expected_fields - 1 for line in lines],
+                           dtype=bool)
+            blank = np.zeros(len(lines), dtype=bool)
+            for i in np.flatnonzero(odd).tolist():
+                blank[i] = "," not in lines[i] and not lines[i].strip()
+            quoted = np.zeros(len(lines), dtype=bool)
+            if '"' in text:
+                quoted[:] = [line.startswith('"') or ',"' in line for line in lines]
+            bad = quoted | (odd & ~blank)
+            stop = _first(bad)
+            rows = np.flatnonzero(~blank[:stop])
+            fields = ",".join([lines[i] for i in rows.tolist()]).split(",")
+            values = list(map(str.strip, fields)) if rows.size else []
+            yield done + 1 + rows, [values[f::expected_fields]
+                                    for f in range(expected_fields)]
+            if stop < len(lines):
+                line = done + stop + 1
+                if quoted[stop]:
+                    raise ParseError("quoted fields are not supported", line=line)
+                raise ParseError(f"expected {expected_fields} fields, "
+                                 f"got {lines[stop].count(',') + 1}", line=line)
+            if undecodable is not None:
+                raise undecodable
+            done += len(lines)
+
+
+def _indices(index: dict[str, int], ids: list[str]) -> np.ndarray:
+    """Each id's index, -1 for an id ``index`` lacks."""
+    return np.fromiter(map(index.get, ids, itertools.repeat(-1)), np.int64, len(ids))
+
+
+def _first(mask: np.ndarray) -> int:
+    """Position of the first true entry, or the length when there is none."""
+    return int(np.argmax(mask)) if mask.any() else mask.size
+
+
+def _changes(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries that differ from the one before; the first does."""
+    mask = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=mask[1:])
+    return mask
+
+
+def _is_float(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
 
 
 def ingest_interactions(interactions_path, items_path) -> IngestResult:
     """Parse the item and interaction files into a catalog plus histories.
 
-    Ratings greater than or equal to 3 land in the positive set, the rest in
-    the negative set. Internal indices follow first-seen order.
+    Ratings greater than or equal to 3 are positive, the rest negative.
+    Internal indices follow first-seen order.
     """
     item_index: dict[str, int] = {}
     category_sets: list[tuple[int, ...]] = []
     max_cat = -1
-    for lineno, (item_id, cats_field) in _read_rows(items_path, 2):
-        if item_id in item_index:
-            raise ParseError(f"duplicate item id {item_id!r}", line=lineno)
-        try:
-            cats = tuple(sorted({int(tok) for tok in cats_field.split(";") if tok}))
-        except ValueError as exc:
-            raise ParseError(f"bad category list {cats_field!r}", line=lineno) from exc
-        if not cats:
-            raise ParseError(f"item {item_id!r} has no categories", line=lineno)
-        if min(cats) < 0:
-            raise ParseError(f"negative category in {cats_field!r}", line=lineno)
-        item_index[item_id] = len(item_index)
-        category_sets.append(cats)
-        max_cat = max(max_cat, cats[-1])
+    for linenos, (ids, cats_fields) in _read_blocks(items_path, 2):
+        for lineno, item_id, cats_field in zip(linenos.tolist(), ids, cats_fields):
+            if item_id in item_index:
+                raise ParseError(f"duplicate item id {item_id!r}", line=lineno)
+            try:
+                cats = tuple(sorted({int(tok) for tok in cats_field.split(";") if tok}))
+            except ValueError as exc:
+                raise ParseError(f"bad category list {cats_field!r}",
+                                 line=lineno) from exc
+            if not cats:
+                raise ParseError(f"item {item_id!r} has no categories", line=lineno)
+            if min(cats) < 0:
+                raise ParseError(f"negative category in {cats_field!r}", line=lineno)
+            item_index[item_id] = len(item_index)
+            category_sets.append(cats)
+            max_cat = max(max_cat, cats[-1])
     if not item_index:
         raise ParseError(f"no items found in {items_path}")
     catalog = ItemCatalog.from_category_sets(category_sets, max_cat + 1)
 
-    user_ids: list[str] = []
     user_index: dict[str, int] = {}
-    positives: list[set[int]] = []
-    negatives: list[set[int]] = []
-    for lineno, (user_id, item_id, rating_field) in _read_rows(interactions_path, 3):
-        if item_id not in item_index:
-            raise ParseError(f"unknown item {item_id!r}", line=lineno)
+    users, items = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    positives = [np.zeros(0, dtype=bool)]
+    for linenos, (user_ids, item_ids, ratings) in _read_blocks(interactions_path, 3):
+        item = _indices(item_index, item_ids)
+        unknown = _first(item < 0)
         try:
-            rating = float(rating_field)
-        except ValueError as exc:
-            raise ParseError(f"non-numeric rating {rating_field!r}", line=lineno) from exc
-        if user_id not in user_index:
-            user_index[user_id] = len(user_ids)
-            user_ids.append(user_id)
-            positives.append(set())
-            negatives.append(set())
-        u = user_index[user_id]
-        j = item_index[item_id]
-        (positives if rating >= 3 else negatives)[u].add(j)
-    return IngestResult(catalog=catalog, positives=positives, negatives=negatives,
-                        user_ids=user_ids, user_index=user_index)
+            rating = np.fromiter(map(float, ratings), float, len(ratings))
+            bad = len(ratings)
+        except ValueError:
+            bad = next(r for r, field in enumerate(ratings) if not _is_float(field))
+        if unknown < len(item_ids) and unknown <= bad:
+            raise ParseError(f"unknown item {item_ids[unknown]!r}",
+                             line=int(linenos[unknown]))
+        if bad < len(ratings):
+            raise ParseError(f"non-numeric rating {ratings[bad]!r}",
+                             line=int(linenos[bad]))
+        for user_id in dict.fromkeys(user_ids):
+            user_index.setdefault(user_id, len(user_index))
+        users.append(_indices(user_index, user_ids))
+        items.append(item)
+        positives.append(rating >= 3)
+    return IngestResult(catalog=catalog, user=np.concatenate(users),
+                        item=np.concatenate(items), positive=np.concatenate(positives),
+                        user_ids=list(user_index), user_index=user_index)
 
 
 def ingest_trust(trust_path, n: int,
@@ -187,38 +275,69 @@ def ingest_trust(trust_path, n: int,
     Ids are translated through ``user_index`` (n users); unknown users raise
     ParseError, and duplicate edges are deduplicated downstream.
     """
-    edges = []
+    blocks = [np.zeros((0, 2), np.int64)]
     dropped = 0
-    for lineno, (src, dst) in _read_rows(trust_path, 2):
-        if src not in user_index or dst not in user_index:
-            raise ParseError(f"unknown user in trust row ({src},{dst})",
-                             line=lineno)
-        i, j = user_index[src], user_index[dst]
-        if i == j:
-            dropped += 1
-            continue
-        edges.append((i, j))
+    for linenos, (srcs, dsts) in _read_blocks(trust_path, 2):
+        pairs = np.stack([_indices(user_index, srcs), _indices(user_index, dsts)],
+                         axis=1)
+        bad = _first((pairs < 0).any(axis=1))
+        if bad < len(srcs):
+            raise ParseError(f"unknown user in trust row ({srcs[bad]},{dsts[bad]})",
+                             line=int(linenos[bad]))
+        loops = pairs[:, 0] == pairs[:, 1]
+        dropped += int(loops.sum())
+        blocks.append(pairs[~loops])
     if dropped:
         logger.warning("dropped %d self-loop trust rows", dropped)
-    return build_social_graph(edges, n), dropped
+    return build_social_graph(np.concatenate(blocks), n), dropped
 
 
 def build_initial_users(ingest: IngestResult) -> tuple[UserStates, list[int]]:
     """Seed each user from history; degenerate histories fall back to random init.
 
-    Substituted users are logged and returned so the caller can audit them.
+    A user starts at the normalized difference of the sums of its distinct
+    positive and its distinct negative item vectors. Where that difference
+    (nearly) cancels, the user gets a random start keyed by its index;
+    substituted users are logged and returned so the caller can audit them.
     """
-    c = ingest.catalog.c
-    matrix = np.empty((c, ingest.n))
-    substituted: list[int] = []
-    for i in range(ingest.n):
-        try:
-            matrix[:, i] = init_user_from_history(
-                ingest.positives[i], ingest.negatives[i], ingest.catalog)
-        except DegenerateHistory:
-            matrix[:, i] = init_user_random(
-                np.random.SeedSequence(entropy=(FALLBACK_INIT_TAG, i)), c)
-            substituted.append(i)
+    catalog = ingest.catalog
+    c, m, n = catalog.c, catalog.m, ingest.n
+    if ingest.item.size and not 0 <= ingest.item.min() <= ingest.item.max() < m:
+        raise IndexOutOfRange(f"item index out of range for m={m}")
+    # Distinct (user, sign, item) keys in order: each history's items ascend,
+    # as the sorted sets that were summed one user at a time.
+    keys = ingest.user * (2 * m)
+    keys += ingest.item
+    np.add(keys, m, out=keys, where=ingest.positive)
+    keys.sort()
+    keys = keys[_changes(keys)]
+    item = keys % m
+    keys //= m                               # 2 * user + positive
+    starts = np.flatnonzero(_changes(keys))
+    lengths = np.diff(starts, append=keys.size)
+    history = keys[starts]
+    del keys                                 # R entries the gathers do not need
+    sums = np.zeros((c, 2 * n))
+    # A (c, histories, L) gather of item vectors keeps c as its contiguous
+    # axis, as the (c, L) gather ``V[:, items]`` of one history does, so numpy
+    # reduces L the same way in both: each history's items added in order.
+    for length in np.unique(lengths).tolist():
+        group = lengths == length
+        first, owner = starts[group], history[group]
+        step = max(1, HISTORY_ENTRIES // (c * length))
+        for lo in range(0, first.size, step):
+            at = first[lo:lo + step, None] + np.arange(length)
+            sums[:, owner[lo:lo + step]] = catalog.item_vectors[:, item[at]].sum(axis=2)
+    diff = sums[:, 1::2] - sums[:, 0::2]
+    rows = np.ascontiguousarray(diff.T)
+    # The ddot of np.linalg.norm, one per contiguous user row.
+    norm = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0, 0]
+    substituted = np.flatnonzero(norm < UNIT_NORM_TOL).tolist()
+    norm[substituted] = 1.0
+    matrix = diff / norm
+    for i in substituted:
+        matrix[:, i] = init_user_random(
+            np.random.SeedSequence(entropy=(FALLBACK_INIT_TAG, i)), c)
     if substituted:
         logger.warning("substituted random init for %d degenerate histories: %s",
                        len(substituted), substituted[:20])

@@ -194,22 +194,29 @@ class SocialReweightHooks(StrategyHooks):
 
 def _reweighted_influence(graph: SocialGraph, dis: np.ndarray, omega: float,
                           strict_denominator: bool) -> sp.csr_matrix:
+    """The influence matrix with each neighbor weighted by exp(-omega * dis).
+
+    Rows of one out-degree L form a (rows, L) block whose sums run along its
+    contiguous last axis, pairwise per row as a one-row sum would. A strict
+    row whose weights all underflow to 0 is shifted by its maximum first, as
+    the default rule always is. Isolated users keep their self-loop.
+    """
     base = graph.influence_matrix
     indptr, indices = base.indptr, base.indices
-    data = np.empty_like(base.data)
-    for i in range(graph.n):
-        lo, hi = indptr[i], indptr[i + 1]
-        cols = indices[lo:hi]
-        if graph.isolated[i]:
-            data[lo:hi] = 1.0          # self-loop row stays the identity blend
-            continue
-        log_w = -omega * dis[cols]
+    data = np.ones_like(base.data)
+    degree = np.diff(indptr)
+    for length in np.unique(degree[~graph.isolated]).tolist():
+        rows = np.flatnonzero((degree == length) & ~graph.isolated)
+        at = indptr[rows, None] + np.arange(length)            # (rows, L)
+        log_w = -omega * dis[indices[at]]
         if strict_denominator:
-            raw = np.exp(log_w)
-            data[lo:hi] = raw / (raw.sum() * len(cols))
+            w = np.exp(log_w)
+            under = w.sum(axis=1) == 0
+            w[under] = np.exp(log_w[under] - log_w[under].max(axis=1, keepdims=True))
+            data[at] = w / (w.sum(axis=1) * length)[:, None]
         else:
-            w = np.exp(log_w - log_w.max())
-            data[lo:hi] = w / w.sum()
+            w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+            data[at] = w / w.sum(axis=1)[:, None]
     return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=base.shape)
 
 

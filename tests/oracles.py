@@ -1,13 +1,23 @@
-"""Scalar, one-user forms of batched operations and the general Kronecker
-form of the closed-form fixed point: the references tests check the
-program's kernels against. The program never calls them."""
+"""Scalar, one-user forms of batched operations, the row-at-a-time dataset
+reader and the general Kronecker form of the closed-form fixed point: the
+references tests check the program's kernels against. The program never
+calls them."""
+
+import csv
 
 import numpy as np
 import scipy.sparse as sp
 
 from recloop import UserStates
-from recloop.catalog import ItemCatalog, SocialGraph
-from recloop.errors import InvalidRequest
+from recloop.catalog import (
+    UNIT_NORM_TOL,
+    ItemCatalog,
+    SocialGraph,
+    build_social_graph,
+    init_user_random,
+)
+from recloop.errors import IndexOutOfRange, InvalidRequest, ParseError
+from recloop.experiment import FALLBACK_INIT_TAG
 
 
 def fua_weight(sign: int, rho: float) -> float:
@@ -163,3 +173,139 @@ def kronecker_fixed_point(ops) -> tuple[np.ndarray, float]:
         return np.full((c, n), np.nan), cond
     b = vec(np.repeat(ops.x[:, None], n, axis=1))
     return unvec(np.linalg.solve(A, b), c, n), cond
+
+
+def read_rows(path, expected_fields: int):
+    """(line number, stripped fields) of each non-blank row, one ``csv`` row
+    at a time."""
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot open {path}: {exc}") from exc
+    with handle:
+        for lineno, row in enumerate(csv.reader(handle), start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != expected_fields:
+                raise ParseError(
+                    f"expected {expected_fields} fields, got {len(row)}",
+                    line=lineno)
+            yield lineno, [f.strip() for f in row]
+
+
+def ingest_interactions(interactions_path, items_path):
+    """(category sets, user ids, per-user positive and negative item sets),
+    one row at a time."""
+    item_index: dict[str, int] = {}
+    category_sets: list[tuple[int, ...]] = []
+    for lineno, (item_id, cats_field) in read_rows(items_path, 2):
+        if item_id in item_index:
+            raise ParseError(f"duplicate item id {item_id!r}", line=lineno)
+        try:
+            cats = tuple(sorted({int(tok) for tok in cats_field.split(";") if tok}))
+        except ValueError as exc:
+            raise ParseError(f"bad category list {cats_field!r}", line=lineno) from exc
+        if not cats:
+            raise ParseError(f"item {item_id!r} has no categories", line=lineno)
+        if min(cats) < 0:
+            raise ParseError(f"negative category in {cats_field!r}", line=lineno)
+        item_index[item_id] = len(item_index)
+        category_sets.append(cats)
+    if not item_index:
+        raise ParseError(f"no items found in {items_path}")
+
+    user_ids: list[str] = []
+    user_index: dict[str, int] = {}
+    positives: list[set[int]] = []
+    negatives: list[set[int]] = []
+    for lineno, (user_id, item_id, rating_field) in read_rows(interactions_path, 3):
+        if item_id not in item_index:
+            raise ParseError(f"unknown item {item_id!r}", line=lineno)
+        try:
+            rating = float(rating_field)
+        except ValueError as exc:
+            raise ParseError(f"non-numeric rating {rating_field!r}", line=lineno) from exc
+        if user_id not in user_index:
+            user_index[user_id] = len(user_ids)
+            user_ids.append(user_id)
+            positives.append(set())
+            negatives.append(set())
+        u = user_index[user_id]
+        j = item_index[item_id]
+        (positives if rating >= 3 else negatives)[u].add(j)
+    return category_sets, user_ids, positives, negatives
+
+
+def ingest_trust(trust_path, n: int, user_index: dict[str, int]):
+    """(graph, dropped self-loop rows), one trust row at a time."""
+    edges = []
+    dropped = 0
+    for lineno, (src, dst) in read_rows(trust_path, 2):
+        if src not in user_index or dst not in user_index:
+            raise ParseError(f"unknown user in trust row ({src},{dst})",
+                             line=lineno)
+        i, j = user_index[src], user_index[dst]
+        if i == j:
+            dropped += 1
+            continue
+        edges.append((i, j))
+    return build_social_graph(edges, n), dropped
+
+
+def init_user_from_history(positives, negatives, catalog: ItemCatalog):
+    """Normalized difference of positive and negative item-vector sums, or
+    None when it (nearly) cancels."""
+    pos = np.asarray(sorted(set(int(j) for j in positives)), dtype=int)
+    neg = np.asarray(sorted(set(int(j) for j in negatives)), dtype=int)
+    for idx in (pos, neg):
+        if idx.size and (idx[0] < 0 or idx[-1] >= catalog.m):
+            raise IndexOutOfRange(f"item index out of range for m={catalog.m}")
+    diff = np.zeros(catalog.c)
+    if pos.size:
+        diff += catalog.item_vectors[:, pos].sum(axis=1)
+    if neg.size:
+        diff -= catalog.item_vectors[:, neg].sum(axis=1)
+    norm = float(np.linalg.norm(diff))
+    if norm < UNIT_NORM_TOL:
+        return None
+    return diff / norm
+
+
+def build_initial_users(positives, negatives, catalog: ItemCatalog):
+    """(c, n) start matrix and substituted users, one user at a time."""
+    n = len(positives)
+    matrix = np.empty((catalog.c, n))
+    substituted = []
+    for i in range(n):
+        u = init_user_from_history(positives[i], negatives[i], catalog)
+        if u is None:
+            u = init_user_random(
+                np.random.SeedSequence(entropy=(FALLBACK_INIT_TAG, i)), catalog.c)
+            substituted.append(i)
+        matrix[:, i] = u
+    return matrix, substituted
+
+
+def reweighted_influence(graph: SocialGraph, dis: np.ndarray, omega: float,
+                         strict_denominator: bool) -> sp.csr_matrix:
+    """SAR's influence matrix one row at a time. A strict row whose weights
+    all underflow is shifted by its maximum first."""
+    base = graph.influence_matrix
+    indptr, indices = base.indptr, base.indices
+    data = np.empty_like(base.data)
+    for i in range(graph.n):
+        lo, hi = indptr[i], indptr[i + 1]
+        cols = indices[lo:hi]
+        if graph.isolated[i]:
+            data[lo:hi] = 1.0
+            continue
+        log_w = -omega * dis[cols]
+        if strict_denominator:
+            raw = np.exp(log_w)
+            if raw.sum() == 0:
+                raw = np.exp(log_w - log_w.max())
+            data[lo:hi] = raw / (raw.sum() * len(cols))
+        else:
+            w = np.exp(log_w - log_w.max())
+            data[lo:hi] = w / w.sum()
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=base.shape)

@@ -119,6 +119,59 @@ class TestSimulate:
         assert written == {p.name: p.read_bytes()
                            for p in (tmp_path / "flags").iterdir()}
 
+    def test_config_file_describes_whole_run(self, tmp_path):
+        """A file's ``seed`` and ``out_dir`` keys are read, not overridden."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "n": 12, "m": 40, "c": 4, "links": 20, "h": 5, "steps": 6, "ts_k": 3,
+            "seed": [1, 2], "out_dir": str(tmp_path / "file")}))
+        assert run_cli("simulate", "--config", str(cfg)) == 0
+        assert run_cli("simulate", *BASE, "--seed", "1,2",
+                       "--out-dir", str(tmp_path / "flags")) == 0
+        written = {p.name: p.read_bytes() for p in (tmp_path / "file").iterdir()}
+        assert written and written == {p.name: p.read_bytes()
+                                       for p in (tmp_path / "flags").iterdir()}
+
+    @pytest.mark.parametrize("missing", ["seed", "out_dir"])
+    def test_config_file_without_required_key_exits_2(self, tmp_path, capsys,
+                                                      missing):
+        content = {"n": 12, "m": 40, "c": 4, "links": 20, "h": 5, "steps": 6,
+                   "ts_k": 3, "seed": 1, "out_dir": str(tmp_path / "out")}
+        del content[missing]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(content))
+        with pytest.raises(SystemExit) as err:
+            run_cli("simulate", "--config", str(cfg))
+        assert err.value.code == 2
+        assert repr(missing) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_strict_sar_runs_at_the_default_omega(self, tmp_path):
+        """At omega = 1000 every strict weight underflows to 0; the rows are
+        shifted by their maximum instead of dividing 0 by 0."""
+        assert run_cli("simulate", "--n", "100", "--m", "1000", "--c", "10",
+                       "--links", "1000", "--steps", "3", "--seed", "1",
+                       "--strategy", "sar", "--sar-strict",
+                       "--out-dir", str(tmp_path)) == 0
+
+    @pytest.mark.parametrize("bad", ["items", "interactions", "trust"])
+    def test_undecodable_bytes_name_their_line(self, tmp_path, capsys, bad):
+        files = {"items": "i1,0\r\ni2,1\n", "interactions": "u1,i1,5\nu2,i2,1\n",
+                 "trust": "u1,u2\nu2,u1\n"}
+        for name, text in files.items():
+            data = text.encode()
+            if name == bad:
+                data = data.replace(b"2,", b"2\xff,", 1)
+            (tmp_path / f"{name}.csv").write_bytes(data)
+        code = run_cli("simulate", "--items-file", str(tmp_path / "items.csv"),
+                       "--interactions-file", str(tmp_path / "interactions.csv"),
+                       "--trust-file", str(tmp_path / "trust.csv"), "--h", "1",
+                       "--steps", "2", "--ts-k", "1", "--seed", "1",
+                       "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 2: cannot decode b'\\xff' as UTF-8" in err
+
     def test_defaults_are_the_dataclasses(self, tmp_path):
         """With no model or mitigation flag, the run records the dataclass
         defaults."""

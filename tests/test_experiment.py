@@ -5,10 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import recloop
 from recloop import experiment
@@ -25,9 +29,11 @@ from recloop import (
     run_experiment,
     sweep,
 )
-from recloop.catalog import UserStates
-from recloop.experiment import build_initial_users
+from recloop.catalog import ItemCatalog, UserStates
+from recloop.experiment import IngestResult, build_initial_users
 from recloop.errors import InvalidRequest, IoError, ParseError
+
+import oracles
 
 
 @pytest.fixture
@@ -55,11 +61,11 @@ class TestIngestInteractions:
                                      dataset_dir / "items.csv")
         assert result.n == 2
         alice, bob = result.user_index["alice"], result.user_index["bob"]
-        assert result.positives[alice] == {0}
-        assert result.negatives[alice] == {1}
+        rows = zip(result.user.tolist(), result.item.tolist(),
+                   result.positive.tolist())
         # rating exactly 3 counts as positive
-        assert result.positives[bob] == {2}
-        assert result.negatives[bob] == {0}
+        assert list(rows) == [(alice, 0, True), (alice, 1, False),
+                              (bob, 2, True), (bob, 0, False)]
 
     def test_catalog_shape(self, dataset_dir):
         result = ingest_interactions(dataset_dir / "interactions.csv",
@@ -75,6 +81,23 @@ class TestIngestInteractions:
             ingest_interactions(dataset_dir / "bad.csv",
                                 dataset_dir / "items.csv")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("row", ['alice,"i1",5', '"alice",i1,5',
+                                     'alice,i1,"5"'])
+    def test_quoted_field_rejected(self, dataset_dir, row):
+        (dataset_dir / "bad.csv").write_text(f"alice,i1,5\n\n{row}\n")
+        with pytest.raises(ParseError,
+                           match="^line 3: quoted fields are not supported$"):
+            ingest_interactions(dataset_dir / "bad.csv",
+                                dataset_dir / "items.csv")
+
+    def test_error_names_first_bad_line_before_undecodable_bytes(self, dataset_dir):
+        (dataset_dir / "bad.csv").write_bytes(b"alice,i1,5\rbob,zz,1\nbob,i\xff1,4\n")
+        with pytest.raises(ParseError, match="^line 2: unknown item 'zz'$"):
+            ingest_interactions(dataset_dir / "bad.csv", dataset_dir / "items.csv")
+        (dataset_dir / "bad.csv").write_bytes(b"alice,i1,5\rbob,i1,1\rbob,i\xff1,4\n")
+        with pytest.raises(ParseError, match="^line 3: cannot decode b'\\\\xff'"):
+            ingest_interactions(dataset_dir / "bad.csv", dataset_dir / "items.csv")
 
     def test_non_numeric_rating(self, dataset_dir):
         (dataset_dir / "bad.csv").write_text("alice,i1,good\n")
@@ -111,6 +134,147 @@ class TestIngestTrust:
             ingest_trust(dataset_dir / "bad_trust.csv", result.n,
                          result.user_index)
         assert err.value.line == 1
+
+
+# Ids that strip to the same id, quotes that ``csv`` keeps as text, unknown
+# ids, bad numbers and lines with the wrong field count.
+USER_IDS = ["alice", " bob", "bob\t", "carol", 'd"e', ' "q']
+ITEMS_TEXT = "i0,0\ni1,1\ni2,0;1\ni3,2\ni4,0\n"     # i0 and i4 cancel
+RATING_ROW = st.builds("{},{},{}".format, st.sampled_from(USER_IDS),
+                       st.sampled_from(["i0", "i1", "i2", "i3", "i4", " i2 ", "zz"]),
+                       st.sampled_from(["1", "2", "3", "4", "5", "2.5", " 3 ",
+                                        "nan", "x", "", ' "5"']))
+TRUST_ROW = st.builds("{},{}".format, *[st.sampled_from(USER_IDS + ["dave"])] * 2)
+ITEM_ROW = st.builds("{},{}".format, st.sampled_from(["i0", "i1", " i1", "i2"]),
+                     st.sampled_from(["0", "1;2", "2;;0", "0;0", "1; 2", " 3 ",
+                                      "", "x", "-1"]))
+NOISE = st.sampled_from(["", "  ", "\t", ",", ",,", "a,b", "a,b,c,d", "alice"])
+BLOCKS = st.sampled_from([1, 2, 7, experiment.BLOCK_LINES])
+
+
+@st.composite
+def csv_text(draw, row):
+    """Lines of ``row`` and noise, each ended by \\n, \\r\\n or \\r, the last
+    line's end sometimes left off."""
+    lines = draw(st.lists(st.tuples(st.one_of(row, row, row, NOISE),
+                                    st.sampled_from(["\n", "\r\n", "\r"])),
+                          max_size=25))
+    text = "".join(line + end for line, end in lines)
+    if lines and draw(st.booleans()):
+        text = text[:-len(lines[-1][1])]
+    return text
+
+
+def outcome(call, *args):
+    """What ``call`` returns, or the type, message and line of its ParseError."""
+    try:
+        return call(*args)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+
+
+def histories(result: IngestResult):
+    """The category sets, user ids and per-user positive and negative item
+    sets of an ingestion."""
+    pos = [set() for _ in range(result.n)]
+    neg = [set() for _ in range(result.n)]
+    for u, j, positive in zip(result.user.tolist(), result.item.tolist(),
+                              result.positive.tolist()):
+        (pos if positive else neg)[u].add(j)
+    assert result.user_index == {u: i for i, u in enumerate(result.user_ids)}
+    return list(result.catalog.category_sets), result.user_ids, pos, neg
+
+
+class TestIngestMatchesRowReader:
+    """Read in blocks of 1, 2, 7 or the default number of lines, a file gives
+    what the row-at-a-time ``csv`` reader gives: the same ids, histories,
+    starts and edges, or an error of the same type and message on the same
+    line."""
+
+    def files(self, tmp, **texts):
+        paths = {}
+        for name, text in {"items": ITEMS_TEXT, "interactions": "", **texts}.items():
+            paths[name] = Path(tmp) / f"{name}.csv"
+            paths[name].write_bytes(text.encode())
+        return paths
+
+    @given(text=csv_text(RATING_ROW), block=BLOCKS)
+    @example(text="alice,i1,5\nbob,zz,x\na,b\ncarol,i1,y\n", block=2)
+    @example(text="alice,i1,x\r\n\r\nbob,zz,5\n", block=1)
+    @example(text="alice,i1,5\n\n   \nbob,i1\ncarol,zz,3\n", block=7)
+    @example(text="alice,i0,5\r\ralice,i4,1\rbob,i1,5\rbob,i1,4\rbob,i1,1",
+             block=1)
+    @settings(max_examples=200, deadline=None)
+    def test_interactions_and_initial_users(self, text, block):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(experiment, "BLOCK_LINES", block):
+            paths = self.files(tmp, interactions=text)
+            got = outcome(ingest_interactions, paths["interactions"], paths["items"])
+            want = outcome(oracles.ingest_interactions, paths["interactions"],
+                           paths["items"])
+        if not isinstance(got, IngestResult):
+            assert got == want
+            return
+        assert histories(got) == want
+        states, substituted = build_initial_users(got)
+        matrix, expected = oracles.build_initial_users(want[2], want[3], got.catalog)
+        assert states.user_matrix.tobytes() == matrix.tobytes()
+        assert substituted == expected
+
+    @given(text=csv_text(ITEM_ROW), block=BLOCKS)
+    @example(text="i0,0\ni1,x\ni0,1\n", block=1)
+    @example(text="i0,0\r\n\r\ni1,\ni1,2\n", block=2)
+    @settings(max_examples=150, deadline=None)
+    def test_items(self, text, block):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(experiment, "BLOCK_LINES", block):
+            paths = self.files(tmp, items=text)
+            got = outcome(ingest_interactions, paths["interactions"], paths["items"])
+            want = outcome(oracles.ingest_interactions, paths["interactions"],
+                           paths["items"])
+        assert (histories(got) if isinstance(got, IngestResult) else got) == want
+
+    @given(text=csv_text(TRUST_ROW), block=BLOCKS)
+    @example(text="alice,bob\nbob,bob\nalice,dave\nx\n", block=2)
+    @example(text="alice,alice\r\ralice,bob\ralice,bob", block=7)
+    @settings(max_examples=150, deadline=None)
+    def test_trust(self, text, block):
+        index = {"alice": 0, "bob": 1, "carol": 2, 'd"e': 3, '"q': 4}
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(experiment, "BLOCK_LINES", block):
+            paths = self.files(tmp, trust=text)
+            got = outcome(ingest_trust, paths["trust"], 5, index)
+            want = outcome(oracles.ingest_trust, paths["trust"], 5, index)
+        if isinstance(want[0], type):
+            assert got == want
+            return
+        (graph, dropped), (expected, expected_dropped) = got, want
+        assert dropped == expected_dropped
+        np.testing.assert_array_equal(graph.edge_array, expected.edge_array)
+        assert (graph.influence_matrix != expected.influence_matrix).nnz == 0
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12),
+           m=st.integers(1, 400), c=st.integers(1, 9), rows=st.integers(0, 3000),
+           entries=st.sampled_from([1, 64, experiment.HISTORY_ENTRIES]))
+    @settings(max_examples=60, deadline=None)
+    def test_initial_users_from_long_histories(self, seed, n, m, c, rows, entries):
+        """Histories longer than numpy's pairwise-sum block of 128 items,
+        gathered in chunks of any size, sum as one user's history does."""
+        rng = np.random.default_rng(seed)
+        catalog = ItemCatalog.from_category_sets(
+            [rng.choice(c, size=rng.integers(1, c + 1), replace=False)
+             for _ in range(m)], c)
+        user = rng.integers(0, n, rows if n else 0)
+        item = rng.integers(0, m, user.size)
+        positive = rng.random(user.size) < 0.6
+        ingest = IngestResult(catalog, user, item, positive,
+                              [str(i) for i in range(n)], {str(i): i for i in range(n)})
+        pos, neg = histories(ingest)[2:]
+        with mock.patch.object(experiment, "HISTORY_ENTRIES", entries):
+            states, substituted = build_initial_users(ingest)
+        matrix, expected = oracles.build_initial_users(pos, neg, catalog)
+        assert states.user_matrix.tobytes() == matrix.tobytes()
+        assert substituted == expected
 
 
 class TestGenerateSynthetic:

@@ -29,6 +29,7 @@ from oracles import (
     dpp_hook_reference,
     dpp_rerank_reference,
     fua_weight,
+    reweighted_influence,
     sar_social_representation,
 )
 
@@ -318,6 +319,30 @@ class TestSarSocialRepresentation:
         arr = W.toarray()
         assert np.all(arr >= 0)
         np.testing.assert_allclose(arr.sum(axis=1), 1.0, atol=1e-12)
+
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+           links=st.integers(0, 3000), hub=st.booleans(),
+           omega=st.sampled_from([0.0, 1.0, 10.0, 1000.0, 1e6]),
+           strict=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_row_weights(self, seed, n, links, hub, omega, strict):
+        """Bit-equal to weighting one row at a time, for both denominators,
+        isolated users, repeated dispersions, out-degrees past numpy's
+        pairwise-sum block of 128, and omegas at which every strict weight
+        underflows."""
+        rng = np.random.default_rng(seed)
+        pairs = rng.integers(0, n, (links, 2))
+        if hub:                            # user 0 trusts everyone
+            pairs = np.concatenate([pairs, np.stack([np.zeros(n, int),
+                                                     np.arange(n)], axis=1)])
+        graph = build_social_graph(pairs, n)
+        dis = rng.choice([0.0, 0.25, *rng.uniform(0, 1, 8)], size=n)
+        got = _reweighted_influence(graph, dis, omega, strict)
+        want = reweighted_influence(graph, dis, omega, strict)
+        assert np.isfinite(got.data).all()
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestHookWiring:

@@ -21,8 +21,8 @@ PUBLIC_NAMES = [
     "dispersions", "dpp_rerank", "expected_entropy_series", "export_states",
     "fixed_point", "generate_synthetic", "homogenization_condition",
     "infinity_norm_bound", "ingest_interactions", "ingest_trust",
-    "init_user_from_history", "init_user_random", "linearized_expected_update",
-    "matrix_step", "nd", "normalize_columns", "rce", "run", "run_experiment",
+    "init_user_random", "linearized_expected_update", "matrix_step", "nd",
+    "normalize_columns", "rce", "run", "run_experiment",
     "sample_without_replacement", "simulate_step",
     "steady_homogenization_check", "sweep", "ts_at_k",
 ]
