@@ -49,7 +49,6 @@ from .mitigation import (
     MitigationConfig,
     adaptive_alpha,
     build_hooks,
-    dpp_rerank,
 )
 from .theory import (
     ConvergenceReport,

@@ -12,7 +12,6 @@ choices, and a key that names no flag is a validation error. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -27,7 +26,6 @@ from .errors import (
     IndexOutOfRange,
     InvalidItem,
     InvalidRequest,
-    IoError,
     ParseError,
     RecloopError,
 )
@@ -38,6 +36,7 @@ from .experiment import (
     ExperimentConfig,
     RunSummary,
     SyntheticSpec,
+    _write_csv,
     _write_json,
     compare_runs,
     export_states,
@@ -256,14 +255,9 @@ def _cmd_synth(args) -> int:
     category = np.array([cats[0] for cats in catalog.category_sets])
     ratings = _synthetic_ratings(states.user_matrix, category, args.seed)
     np.savetxt(out / "interactions.csv", np.column_stack(ratings), fmt="%d", delimiter=",")
-    with open(out / "items.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        for j, cats in enumerate(catalog.category_sets):
-            writer.writerow([j, ";".join(str(o) for o in cats)])
-    with open(out / "trust.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        for i, j in graph.edge_array:
-            writer.writerow([int(i), int(j)])
+    _write_csv(out / "items.csv", ([j, ";".join(map(str, cats))]
+                                   for j, cats in enumerate(catalog.category_sets)))
+    _write_csv(out / "trust.csv", graph.edge_array.tolist())
     export_states(states, out / "users.csv")
     print(f"wrote items.csv ({catalog.m} items), interactions.csv "
           f"({ratings[0].size} ratings), trust.csv ({graph.num_edges} links), "
@@ -322,7 +316,7 @@ def main(argv=None) -> int:
     except VALIDATION_ERRORS as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (RecloopError, IoError, OSError) as exc:
+    except (RecloopError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
 

@@ -128,18 +128,13 @@ def _feedback_pair(dots: np.ndarray, beta: float, epsilon: float,
 
 @dataclass
 class StepLog:
-    """Everything drawn during one step, as arrays over users.
-
-    ``probabilities`` holds each user's softmax over the catalog as a column
-    when the step was asked to record it, and is None otherwise.
-    """
+    """Everything drawn during one step, as arrays over users."""
 
     t: int
     slate_items: np.ndarray        # (n, h) int
     signs: np.ndarray              # (n, h) int8
     p_pos: np.ndarray              # (n, h) float
     padded: np.ndarray             # (n,) bool, slates padded from zero-mass items
-    probabilities: np.ndarray | None = None    # (m, n) float
 
 
 class StrategyHooks:
@@ -186,15 +181,15 @@ def _social_matrix(user_matrix: np.ndarray, graph: SocialGraph,
 
 
 def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
-                  params: ModelParams, rng, hooks: StrategyHooks | None = None,
-                  record_probabilities: bool = False) -> tuple[UserStates, StepLog]:
+                  params: ModelParams, rng,
+                  hooks: StrategyHooks | None = None) -> tuple[UserStates, StepLog]:
     """Run one synchronous interaction round for every user.
 
     All slates and feedback are computed against U(t); U(t+1) is assembled
     only after every user is processed. The provided ``rng`` is a master seed
     or StreamSplitter; each user consumes exactly one (step, user) stream:
     the race's exponentials, the pad choice of a padded slate, then the h
-    feedback uniforms.
+    feedback uniforms. Returns U(t+1) and the step's ``StepLog``.
     """
     splitter = _as_splitter(rng)
     hooks = hooks if hooks is not None else StrategyHooks()
@@ -222,13 +217,10 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     slate_items = np.empty((n, h), dtype=np.int64)
     uniforms = np.empty((n, h))
     padded = np.empty(n, dtype=bool)
-    probabilities = np.empty((m, n)) if record_probabilities else None
 
     for lo, hi in row_blocks(n, BLOCK_ENTRIES, m):
         probs = _softmax((V.T @ social[:, lo:hi]) * alphas[None, lo:hi])   # (m, block)
         padded[lo:hi] = (probs > 0).sum(axis=0) < sample_size
-        if probabilities is not None:
-            probabilities[:, lo:hi] = probs
         streams = [splitter.user_stream(states.t, i) for i in range(lo, hi)]
         pools = sample_without_replacement(probs.T, sample_size, streams)
         for stream, row in zip(streams, uniforms[lo:hi]):
@@ -254,7 +246,7 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     new_U = np.add(U, (params.eta / h) * moves.T, out=np.empty_like(U))
 
     log = StepLog(t=states.t, slate_items=slate_items, signs=signs,
-                  p_pos=p_pos, padded=padded, probabilities=probabilities)
+                  p_pos=p_pos, padded=padded)
     return UserStates(new_U, states.t + 1), log
 
 

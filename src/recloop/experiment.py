@@ -16,7 +16,10 @@ rather than Python sets per user.
 
 Internal user and item indices are contiguous and assigned in first-seen
 order. Every output artefact is a pure function of (config, seeds): reruns
-are byte-identical.
+are byte-identical. Every CSV file is written by ``_write_csv``: a float as
+its repr, an int as its str and None as an empty field, with \r\n line ends;
+a failed write raises IoError naming the path. (The synthetic
+``interactions.csv`` is the one exception: ``np.savetxt``, \n line ends.)
 """
 
 from __future__ import annotations
@@ -106,6 +109,8 @@ class ExperimentConfig:
             raise InvalidRequest(f"unknown dataset kind {self.dataset_kind!r}")
         if self.burn_in < 0 or self.burn_in >= self.steps:
             raise InvalidRequest("burn_in must lie in [0, steps)")
+        if self.ts_k is not None and self.ts_k < 1:
+            raise InvalidRequest(f"ts_k must be >= 1, got {self.ts_k}")
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +125,11 @@ class IngestResult:
     user: np.ndarray                # (R,) internal user index
     item: np.ndarray                # (R,) internal item index
     positive: np.ndarray            # (R,) bool: rating >= 3
-    user_ids: list[str]             # internal index -> original id
-    user_index: dict[str, int]
+    user_index: dict[str, int]      # original id -> internal index
 
     @property
     def n(self) -> int:
-        return len(self.user_ids)
+        return len(self.user_index)
 
 
 def _universal(text: str) -> str:
@@ -265,7 +269,7 @@ def ingest_interactions(interactions_path, items_path) -> IngestResult:
         positives.append(rating >= 3)
     return IngestResult(catalog=catalog, user=np.concatenate(users),
                         item=np.concatenate(items), positive=np.concatenate(positives),
-                        user_ids=list(user_index), user_index=user_index)
+                        user_index=user_index)
 
 
 def ingest_trust(trust_path, n: int,
@@ -353,8 +357,13 @@ def generate_synthetic(n: int, m: int, c: int, link_count: int,
     """Single-category items, random unit users, and uniform random links.
 
     Fully determined by the seed: categories, user vectors, and the edge set
-    each come from an independent child stream.
+    each come from an independent child stream. The edges are the first
+    ``link_count`` distinct non-self pairs the link stream draws.
     """
+    for name, value, low in (("n", n, 1), ("m", m, 1), ("c", c, 1),
+                             ("links", link_count, 0)):
+        if value < low:
+            raise InvalidRequest(f"{name} must be >= {low}, got {value}")
     if link_count > n * (n - 1):
         raise InvalidRequest(
             f"cannot place {link_count} distinct ordered links among {n} users")
@@ -371,17 +380,15 @@ def generate_synthetic(n: int, m: int, c: int, link_count: int,
     states = UserStates(matrix, t=0)
 
     link_rng = np.random.default_rng(link_ss)
-    edges: set[tuple[int, int]] = set()
-    while len(edges) < link_count:
-        need = link_count - len(edges)
+    keys = np.zeros(0, np.int64)          # distinct i*n + j, in first-drawn order
+    while keys.size < link_count:
+        need = link_count - keys.size
         src = link_rng.integers(0, n, size=2 * need + 8)
         dst = link_rng.integers(0, n, size=2 * need + 8)
-        for i, j in zip(src, dst):
-            if i != j:
-                edges.add((int(i), int(j)))
-                if len(edges) == link_count:
-                    break
-    graph = build_social_graph(edges, n)
+        keys = np.concatenate([keys, (src * n + dst)[src != dst]])
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        keys = keys[first[:link_count]]
+    graph = build_social_graph(np.stack(np.divmod(keys, n), axis=1), n)
     return catalog, states, graph
 
 
@@ -458,15 +465,7 @@ def build_dataset(config: ExperimentConfig,
 
 def _resolve_ts_k(config: ExperimentConfig, n: int) -> int:
     k = config.ts_k if config.ts_k is not None else TS_K_DEFAULTS[config.dataset_kind]
-    return max(1, min(k, n - 1))
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return min(k, n - 1)
 
 
 def run_experiment(config: ExperimentConfig,
@@ -547,18 +546,22 @@ def summarize(config: ExperimentConfig, schedule: Sequence[int], k_used: int,
     )
 
 
-def _write_metrics_csv(path, seeds, trajectories):
+def _write_csv(path, rows, header=None):
+    """Write ``header`` (when given) and then ``rows`` as CSV lines."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["t", "seed", "rce", "ra", "nd", "pdv", "ts_at_k"])
-            for seed in seeds:
-                for rec in trajectories[seed].records:
-                    writer.writerow([
-                        rec.t, seed, _fmt(rec.rce), _fmt(rec.ra), _fmt(rec.nd),
-                        _fmt(rec.pdv), _fmt(rec.ts_at_k)])
+            if header is not None:
+                writer.writerow(header)
+            writer.writerows(rows)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_metrics_csv(path, seeds, trajectories):
+    _write_csv(path, ([rec.t, seed, *(getattr(rec, name) for name in METRIC_NAMES)]
+                      for seed in seeds for rec in trajectories[seed].records),
+               ["t", "seed", *METRIC_NAMES])
 
 
 def _write_json(path, data):
@@ -654,28 +657,14 @@ def sweep(config: ExperimentConfig, axis: str, values: Sequence,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        try:
-            with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["axis", "value", "t", "metric", "seed_mean"])
-                for row in rows:
-                    writer.writerow([row[0], _fmt(row[1]), row[2], row[3],
-                                     _fmt(row[4])])
-        except OSError as exc:
-            raise IoError(f"cannot write sweep.csv: {exc}") from exc
+        _write_csv(out / "sweep.csv", rows,
+                   ["axis", "value", "t", "metric", "seed_mean"])
     return results
 
 
 def export_states(states: UserStates, path) -> None:
     """Write the normalized user matrix as ``user_id,coord_0..coord_{c-1}``."""
     un = normalize_columns(states.user_matrix)
-    c, n = un.shape
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["user_id"] + [f"coord_{o}" for o in range(c)])
-            for i in range(n):
-                writer.writerow([i] + [repr(float(x)) for x in un[:, i]])
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_csv(path, ([i, *col] for i, col in enumerate(un.T.tolist())),
+               ["user_id", *(f"coord_{o}" for o in range(un.shape[0]))])
 

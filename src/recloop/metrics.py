@@ -182,7 +182,6 @@ class MetricsRecord:
     k_used: int
     pdv_mode: str
     pdv_pairs: int | None = None
-    pdv_seed: int | None = None
     ra_excluded: int = 0
 
 
@@ -200,7 +199,6 @@ def compute_metrics_record(t: int, states, slate_matrix: np.ndarray,
     return MetricsRecord(
         t=t, rce=rce_val, ra=ra_val, nd=nd_val, pdv=pdv_val, ts_at_k=ts_val,
         k_used=settings.ts_k, pdv_mode=pdv_mode_used, pdv_pairs=pdv_pairs,
-        pdv_seed=PDV_DEFAULT_SEED if pdv_mode_used == "sampled" else None,
         ra_excluded=ra_excl,
     )
 

@@ -8,8 +8,7 @@ run; combining them is out of scope.
 
 Each hook works on a whole block of users or a whole step: the DPP re-rank
 runs its greedy selection for every user of a block at once, one (b, K)
-score matrix per pick, and ``dpp_rerank`` is the one-user form of that same
-selection.
+score matrix per pick; a one-user call of the hook is the one-row case.
 """
 
 from __future__ import annotations
@@ -76,28 +75,13 @@ def adaptive_alpha(dispersion_values: np.ndarray, sigma: float,
     return (w / w.sum()) * alpha0
 
 
-def dpp_rerank(u: np.ndarray, candidate_items: np.ndarray,
-               catalog: ItemCatalog, theta: float, h: int) -> np.ndarray:
-    """Greedy diversity-penalized selection of h items from the candidate pool.
-
-    The first pick maximizes relevance u.v; each later pick maximizes
-    (1-theta) u.v - theta v.(normalized sum of chosen vectors). Ties break
-    toward the lowest item index.
-    """
-    cands = np.asarray(candidate_items, dtype=np.int64)
-    if cands.size < h:
-        raise InvalidRequest(
-            f"candidate pool of {cands.size} cannot fill a list of {h}")
-    if np.unique(cands).size != cands.size:
-        raise InvalidRequest("candidate items must be distinct")
-    users = np.asarray(u, dtype=float)[None]
-    return _greedy_select(users, cands[None], catalog, theta, h)[0]
-
-
 def _greedy_select(users: np.ndarray, pools: np.ndarray, catalog: ItemCatalog,
                    theta: float, h: int) -> np.ndarray:
-    """``dpp_rerank`` of each row: users (b, c), pools (b, K) of distinct ids.
+    """Greedy diversity-penalized selection of h items from each row's pool.
 
+    users (b, c), pools (b, K) of distinct ids. The first pick maximizes
+    relevance u.v; each later pick maximizes (1-theta) u.v - theta
+    v.(normalized sum of chosen vectors). Ties break toward the lowest id.
     Stacked matmuls make per row the gemv (relevance, penalty) and the ddot
     (chosen-sum norm) of a one-row call, so no row depends on the others.
     A pool of all m items is, sorted, the whole catalog in id order. Each

@@ -102,14 +102,17 @@ class ConvergenceReport:
     """Margin test of the linearized dynamics' growth bound.
 
     ``margin`` is eta*(beta/2 + a*e*g/2 + beta^2/(8*a*e*g)); it is undefined
-    (degenerate) when alpha*epsilon*gamma <= 0. It bounds the growth of
-    Y - I and Z that ``growth_norm_bound`` documents, not convergence of
-    plain iteration. With operators, ``consensus_radius`` is rho(Y + Z):
-    lambda = 1 is always in spec(S~), so it is the exact growth rate of the
-    consensus mode u 1^T, and a radius >= 1 means iteration cannot settle
-    whatever the margin. ``satisfied`` requires operators, a consensus
-    radius below 1, and a margin or an infinity-norm bound below 1; without
-    operators nothing is certified and it is False, whatever the margin.
+    (degenerate) when alpha*epsilon*gamma <= 0. On single-category catalogs
+    it bounds the max absolute row sum of Y - I (the identity part of Y drops
+    out of the closed-form chain), not convergence of plain iteration: Y - I
+    is positive semidefinite on the span of the item vectors, so the affine
+    map is never a strict contraction when beta > 0. With operators,
+    ``consensus_radius`` is rho(Y + Z): lambda = 1 is always in spec(S~),
+    so it is the exact growth rate of the consensus mode u 1^T, and a
+    radius >= 1 means iteration cannot settle whatever the margin.
+    ``satisfied`` requires operators, a consensus radius below 1, and a
+    margin or an infinity-norm bound below 1; without operators nothing is
+    certified and it is False, whatever the margin.
     """
 
     margin: float | None
@@ -145,20 +148,6 @@ def convergence_margin(params: ModelParams,
 def infinity_norm_bound(ops: OperatorSet) -> float:
     """Max absolute row sums of Y and Z, summed."""
     return float(np.abs(ops.Y).sum(axis=1).max()
-                 + np.abs(ops.Z).sum(axis=1).max())
-
-
-def growth_norm_bound(ops: OperatorSet) -> float:
-    """Max absolute row sums of (Y - I) and Z, summed.
-
-    This is the quantity the closed-form analysis actually bounds by the
-    convergence margin: the identity part of Y drops out of that chain. Note
-    Y - I is positive semidefinite on the span of the item vectors, so the
-    full affine map is never a strict contraction when beta > 0; the margin
-    certifies slow growth of the bias terms, not convergence of iteration.
-    """
-    c = ops.Y.shape[0]
-    return float(np.abs(ops.Y - np.eye(c)).sum(axis=1).max()
                  + np.abs(ops.Z).sum(axis=1).max())
 
 

@@ -1,7 +1,7 @@
 """Scalar, one-user forms of batched operations, the row-at-a-time dataset
-reader and the general Kronecker form of the closed-form fixed point: the
-references tests check the program's kernels against. The program never
-calls them."""
+reader, the pair-at-a-time synthetic edge draw and the general Kronecker
+form of the closed-form fixed point: the references tests check the
+program's kernels against. The program never calls them."""
 
 import csv
 
@@ -309,3 +309,20 @@ def reweighted_influence(graph: SocialGraph, dis: np.ndarray, omega: float,
             w = np.exp(log_w - log_w.max())
             data[lo:hi] = w / w.sum()
     return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=base.shape)
+
+
+def synthetic_edges(n: int, link_count: int, seed: int) -> set[tuple[int, int]]:
+    """``generate_synthetic``'s edge set, one drawn pair at a time: the first
+    ``link_count`` distinct non-self pairs of its link stream."""
+    link_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < link_count:
+        need = link_count - len(edges)
+        src = link_rng.integers(0, n, size=2 * need + 8)
+        dst = link_rng.integers(0, n, size=2 * need + 8)
+        for i, j in zip(src, dst):
+            if i != j:
+                edges.add((int(i), int(j)))
+                if len(edges) == link_count:
+                    break
+    return edges

@@ -31,8 +31,7 @@ def history_start(positives, negatives, catalog):
     ingest = IngestResult(
         catalog, user=np.zeros(len(items), np.int64),
         item=np.array(items, np.int64),
-        positive=np.arange(len(items)) < len(positives),
-        user_ids=["u"], user_index={"u": 0})
+        positive=np.arange(len(items)) < len(positives), user_index={"u": 0})
     states, substituted = build_initial_users(ingest)
     return None if substituted else states.user_matrix[:, 0]
 

@@ -274,10 +274,36 @@ class TestSynth:
         ingest = ingest_interactions(tmp_path / "interactions.csv",
                                      tmp_path / "items.csv")
         states, substituted = build_initial_users(ingest)
-        assert substituted == [] and ingest.user_ids == [str(i) for i in range(50)]
+        assert substituted == [] and list(ingest.user_index) == [str(i) for i in range(50)]
         truth = generate_synthetic(50, 1000, 10, 200, 3)[1].user_matrix
         cosines = (states.user_matrix * truth).sum(axis=0) / np.linalg.norm(truth, axis=0)
         assert cosines.min() >= 0.99
+
+
+@pytest.mark.parametrize("args, message", [
+    (["simulate", *BASE, "--c", "0", "--seed", "1"], "c must be >= 1"),
+    (["simulate", *BASE, "--links", "-1", "--seed", "1"], "links must be >= 0"),
+    (["simulate", *BASE, "--ts-k", "-5", "--seed", "1"], "ts_k must be >= 1"),
+    (["sweep", *BASE, "--seed", "1", "--axis", "c", "--values", "0,3"],
+     "c must be >= 1"),
+    (["synth", "--n", "10", "--links", "-4", "--seed", "1"], "links must be >= 0"),
+], ids=["simulate-c", "simulate-links", "simulate-ts_k", "sweep-c", "synth-links"])
+def test_bad_value_exits_2_naming_its_field(tmp_path, capsys, args, message):
+    assert run_cli(*args, "--out-dir", str(tmp_path)) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, blocked", [
+    (["simulate", *BASE, "--seed", "1"], "metrics.csv"),
+    (["sweep", *BASE, "--seed", "1", "--axis", "alpha", "--values", "0"],
+     "sweep.csv"),
+    (["synth", "--n", "10", "--m", "30", "--c", "3", "--links", "12",
+      "--seed", "4"], "items.csv"),
+], ids=["simulate", "sweep", "synth"])
+def test_write_error_exits_1_naming_the_path(tmp_path, capsys, args, blocked):
+    (tmp_path / blocked).mkdir()
+    assert run_cli(*args, "--out-dir", str(tmp_path)) == 1
+    assert f"cannot write {tmp_path / blocked}:" in capsys.readouterr().err
 
 
 class TestVerifyTheory:

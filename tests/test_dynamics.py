@@ -385,19 +385,17 @@ def reference_step(states, catalog, graph, params, rng, hooks=None):
         new_U[:, i] = U[:, i] + (params.eta / h) * (
             V[:, items] @ hooks.update_weights(s))
         slate_items[i], signs[i], p_pos[i] = items, s, pos
-    return new_U, slate_items, signs, p_pos, padded, probs
+    return new_U, slate_items, signs, p_pos, padded
 
 
 def assert_same_step(states, catalog, graph, params, seed, hooks=None):
-    new_U, items, signs, p_pos, padded, probs = reference_step(
+    new_U, items, signs, p_pos, padded = reference_step(
         states, catalog, graph, params, seed, hooks)
-    new_states, log = simulate_step(states, catalog, graph, params, seed, hooks,
-                                    record_probabilities=True)
+    new_states, log = simulate_step(states, catalog, graph, params, seed, hooks)
     np.testing.assert_array_equal(log.slate_items, items)
     np.testing.assert_array_equal(log.signs, signs)
     np.testing.assert_array_equal(log.p_pos, p_pos)
     np.testing.assert_array_equal(log.padded, padded)
-    np.testing.assert_array_equal(log.probabilities, probs)
     np.testing.assert_array_equal(new_states.user_matrix, new_U)
     assert new_states.user_matrix.flags.c_contiguous
     return log
@@ -462,14 +460,12 @@ class TestBlockedStep:
         try:
             for users in (1, 2, 7, n):
                 dynamics.BLOCK_ENTRIES = users * m
-                outs.append(simulate_step(states, catalog, graph, params, seed,
-                                          record_probabilities=True))
+                outs.append(simulate_step(states, catalog, graph, params, seed))
         finally:
             dynamics.BLOCK_ENTRIES = saved
         (first_states, first), rest = outs[0], outs[1:]
         for new_states, log in rest:
-            for name in ("slate_items", "signs", "p_pos", "padded",
-                         "probabilities"):
+            for name in ("slate_items", "signs", "p_pos", "padded"):
                 np.testing.assert_array_equal(getattr(log, name),
                                               getattr(first, name))
             np.testing.assert_array_equal(new_states.user_matrix,
@@ -512,13 +508,11 @@ class TestSimulateStep:
         out = []
         for _ in range(2):
             _, log = simulate_step(states.copy(), catalog, graph, params,
-                                   StreamSplitter(77), record_probabilities=True)
+                                   StreamSplitter(77))
             out.append(log)
         np.testing.assert_array_equal(out[0].slate_items, out[1].slate_items)
         np.testing.assert_array_equal(out[0].signs, out[1].signs)
         np.testing.assert_array_equal(out[0].p_pos, out[1].p_pos)
-        np.testing.assert_array_equal(out[0].probabilities[:, 2],
-                                      out[1].probabilities[:, 2])
 
     def test_gamma_one_never_reads_graph(self):
         catalog, _, states = tiny_world()

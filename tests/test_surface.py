@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     "SyntheticSpec", "Trajectory", "UserStates", "adaptive_alpha",
     "build_hooks", "build_item_vector", "build_operators", "build_social_graph",
     "compare_runs", "compute_metrics_record", "convergence_margin",
-    "dispersions", "dpp_rerank", "expected_entropy_series", "export_states",
+    "dispersions", "expected_entropy_series", "export_states",
     "fixed_point", "generate_synthetic", "homogenization_condition",
     "infinity_norm_bound", "ingest_interactions", "ingest_trust",
     "init_user_random", "linearized_expected_update", "matrix_step", "nd",
