@@ -221,11 +221,12 @@ class UserStates:
         return UserStates(self.user_matrix.copy(), self.t)
 
 
-def normalize_columns(matrix: np.ndarray) -> np.ndarray:
-    """Column-wise unit normalization; all-zero columns are left as zeros."""
+def normalize_columns(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Column-wise unit normalization, into ``out`` when given; all-zero
+    columns are left as zeros."""
     norms = np.linalg.norm(matrix, axis=0)
     safe = np.where(norms > 0, norms, 1.0)
-    return matrix / safe
+    return np.divide(matrix, safe, out=out)
 
 
 def row_blocks(n: int, entries: int, width: int) -> list[tuple[int, int]]:

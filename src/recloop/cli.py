@@ -36,6 +36,7 @@ from .experiment import (
     ExperimentConfig,
     RunSummary,
     SyntheticSpec,
+    _output_file,
     _write_csv,
     _write_json,
     compare_runs,
@@ -254,7 +255,8 @@ def _cmd_synth(args) -> int:
         args.n, args.m, args.c, args.links, args.seed)
     category = np.array([cats[0] for cats in catalog.category_sets])
     ratings = _synthetic_ratings(states.user_matrix, category, args.seed)
-    np.savetxt(out / "interactions.csv", np.column_stack(ratings), fmt="%d", delimiter=",")
+    with _output_file(out / "interactions.csv", newline="") as handle:
+        np.savetxt(handle, np.column_stack(ratings), fmt="%d", delimiter=",")
     _write_csv(out / "items.csv", ([j, ";".join(map(str, cats))]
                                    for j, cats in enumerate(catalog.category_sets)))
     _write_csv(out / "trust.csv", graph.edge_array.tolist())

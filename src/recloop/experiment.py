@@ -17,13 +17,14 @@ rather than Python sets per user.
 Internal user and item indices are contiguous and assigned in first-seen
 order. Every output artefact is a pure function of (config, seeds): reruns
 are byte-identical. Every CSV file is written by ``_write_csv``: a float as
-its repr, an int as its str and None as an empty field, with \r\n line ends;
-a failed write raises IoError naming the path. (The synthetic
-``interactions.csv`` is the one exception: ``np.savetxt``, \n line ends.)
+its repr, an int as its str and None as an empty field, with \r\n line ends.
+(The synthetic ``interactions.csv`` is the one exception: ``np.savetxt``, \n
+line ends.) A failed write of any output file raises IoError naming the path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import itertools
@@ -484,6 +485,9 @@ def run_experiment(config: ExperimentConfig,
     shared = None if config.synthetic else build_dataset(config, config.seeds[0])
     for seed in config.seeds:
         catalog, states, graph = shared or build_dataset(config, seed)
+        if graph.num_edges == 0:
+            raise InvalidRequest("the social graph has no edges (links 0, or only "
+                                 "self-loop trust rows); neighbor distance needs one")
         k_used = _resolve_ts_k(config, states.n)
         settings = MetricSettings(ts_k=k_used, pdv_mode=config.pdv_mode)
         hooks = build_hooks(config.mitigation, config.params)
@@ -546,16 +550,24 @@ def summarize(config: ExperimentConfig, schedule: Sequence[int], k_used: int,
     )
 
 
-def _write_csv(path, rows, header=None):
-    """Write ``header`` (when given) and then ``rows`` as CSV lines."""
+@contextlib.contextmanager
+def _output_file(path, newline=None):
+    """``open(path, "w")``, UTF-8; an OSError in opening or writing becomes
+    IoError naming the path."""
     try:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            if header is not None:
-                writer.writerow(header)
-            writer.writerows(rows)
+        with open(path, "w", newline=newline, encoding="utf-8") as handle:
+            yield handle
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_csv(path, rows, header=None):
+    """Write ``header`` (when given) and then ``rows`` as CSV lines."""
+    with _output_file(path, newline="") as handle:
+        writer = csv.writer(handle)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_metrics_csv(path, seeds, trajectories):
@@ -565,12 +577,9 @@ def _write_metrics_csv(path, seeds, trajectories):
 
 
 def _write_json(path, data):
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with _output_file(path) as handle:
+        json.dump(data, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 @dataclass(frozen=True)

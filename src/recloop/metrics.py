@@ -3,6 +3,16 @@
 All five metrics read the l2-normalized view of the user matrix; the raw
 (unnormalized) state is never mutated. Slates enter as an (n, h) integer
 matrix of item indices.
+
+The O(n^2) kernels (exact PDV, TS@k and sampled PDV) split their rows, Gram
+blocks or pair blocks into one contiguous range per CPU this process may use
+(``parallel.run_split``), each range on its own thread with scratch the
+caller allocates. Each range writes only its own slice of one output buffer,
+and every row, Gram block and pair keeps the shapes and memory layout of the
+single-threaded loop, so every value is bit for bit what one thread computes,
+whatever the number of CPUs. Small worlds run on the calling thread: exact
+PDV below ``SPLIT_ENTRIES`` entries of the (c, n) matrix, and TS@k or sampled
+PDV with a single block.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .catalog import ItemCatalog, SocialGraph, UserStates, normalize_columns, row_blocks
 from .errors import InvalidRequest, InvalidSlate, NoEdges, NumericalError
 
@@ -21,6 +32,8 @@ PDV_DEFAULT_SEED = 1729
 PDV_MODES = ("auto", "exact", "sampled")
 GRAM_ENTRIES = 1 << 22     # entries of one (rows, n) Gram block in ts_at_k
 PAIR_ENTRIES = 1 << 22     # entries of one (c, pairs) block of sampled PDV
+SPLIT_ENTRIES = 1 << 16    # exact PDV splits its rows from c * n entries on;
+                           # narrower rows wait longer for the GIL than they compute
 
 
 def _as_matrix(states) -> np.ndarray:
@@ -82,14 +95,25 @@ def nd(states, graph: SocialGraph) -> float:
 
 def _pairwise_distances_exact(un: np.ndarray) -> np.ndarray:
     """All i<j distances in lexicographic pair order, matching a nested loop,
-    written row by row into one buffer."""
-    n = un.shape[1]
+    written row by row into one buffer; from ``SPLIT_ENTRIES`` entries of un
+    on, the rows are split over the CPUs. Each row's (c, n-1-i) differences
+    stay C-ordered, so its columns are summed sequentially, as in a
+    single-threaded loop."""
+    c, n = un.shape
     out = np.empty(n * (n - 1) // 2)
-    for i in range(n - 1):
-        diffs = un[:, i + 1:] - un[:, i:i + 1]
-        lo = i * (2 * n - i - 1) // 2              # pairs of the rows before i
-        np.add.reduce(np.square(diffs, out=diffs), axis=0, out=out[lo:lo + n - 1 - i])
-    return np.sqrt(out, out=out)
+    starts = [i * (2 * n - i - 1) // 2 for i in range(n)]   # pairs of the rows before i
+
+    def pair_rows(a, b, buf):
+        for i in range(a, b):
+            k = n - 1 - i
+            diffs = np.subtract(un[:, i + 1:], un[:, i:i + 1], out=buf[:c * k].reshape(c, k))
+            np.add.reduce(np.square(diffs, out=diffs), axis=0, out=out[starts[i]:starts[i + 1]])
+        done = out[starts[a]:starts[b]]
+        np.sqrt(done, out=done)
+
+    workers = parallel.usable_cpus() if un.size >= SPLIT_ENTRIES else 1
+    parallel.run_split(pair_rows, starts, workers, lambda: np.empty(c * (n - 1)))
+    return out
 
 
 def _variance_in_place(d: np.ndarray) -> float:
@@ -104,8 +128,9 @@ def pdv_with_mode(states, mode: str = "auto", pairs: int = PDV_DEFAULT_PAIRS,
 
     Exact over all n(n-1)/2 pairs up to n=5000 (or on request); beyond that a
     uniform pair sample with a fixed seed estimates it, in blocks of about
-    ``PAIR_ENTRIES`` coordinates. Returns the value, the mode actually used,
-    and the number of sampled pairs (None when exact).
+    ``PAIR_ENTRIES // workers`` coordinates, so the blocks in flight on all
+    workers together hold about ``PAIR_ENTRIES``. Returns the value, the mode
+    actually used, and the number of sampled pairs (None when exact).
     """
     matrix = _as_matrix(states)
     n = matrix.shape[1]
@@ -115,20 +140,32 @@ def pdv_with_mode(states, mode: str = "auto", pairs: int = PDV_DEFAULT_PAIRS,
         raise InvalidRequest(f"unknown pdv mode {mode!r}")
     if mode == "auto":
         mode = "exact" if n <= PDV_EXACT_LIMIT else "sampled"
-    un = normalize_columns(matrix)
     if mode == "exact":
-        return _variance_in_place(_pairwise_distances_exact(un)), "exact", None
+        dists = _pairwise_distances_exact(normalize_columns(matrix))
+        return _variance_in_place(dists), "exact", None
+    c = matrix.shape[0]
+    users = normalize_columns(matrix, out=np.empty((n, c)).T).T    # (n, c), C-ordered
     rng = np.random.default_rng(seed)
     ii = rng.integers(0, n, size=pairs)
     jj = rng.integers(0, n - 1, size=pairs)
     jj = jj + (jj >= ii)
     dists = np.empty(pairs)
-    # Each gathered column is contiguous, so every pair's squares are summed
-    # in the order np.linalg.norm sums them, whatever the block.
-    for lo, hi in row_blocks(pairs, PAIR_ENTRIES, un.shape[0]):
-        diffs = un[:, ii[lo:hi]]
-        diffs -= un[:, jj[lo:hi]]
-        np.add.reduce(np.square(diffs, out=diffs), axis=0, out=dists[lo:hi])
+    workers = parallel.usable_cpus()
+    blocks = row_blocks(pairs, PAIR_ENTRIES // workers, c)
+    width = max(hi - lo for lo, hi in blocks)
+
+    # A block is gathered as (pairs, c) rows, the transpose of an F-ordered
+    # (c, pairs) block, so every pair's squares are summed in the order
+    # np.linalg.norm sums them, whatever the block. Every index is in range;
+    # mode="clip" lets np.take write into the buffer without a temporary.
+    def pair_blocks(a, b, bufs):
+        for lo, hi in blocks[a:b]:
+            diffs = np.take(users, ii[lo:hi], axis=0, out=bufs[0][:hi - lo], mode="clip")
+            diffs -= np.take(users, jj[lo:hi], axis=0, out=bufs[1][:hi - lo], mode="clip")
+            np.add.reduce(np.square(diffs, out=diffs).T, axis=0, out=dists[lo:hi])
+
+    parallel.run_split(pair_blocks, range(len(blocks) + 1), workers,
+                       lambda: np.empty((2, width, c)))
     return _variance_in_place(np.sqrt(dists, out=dists)), "sampled", int(pairs)
 
 
@@ -137,7 +174,12 @@ def ts_at_k(states, k: int) -> float:
 
     Similarity is the inner product of normalized vectors; self-similarity is
     excluded (otherwise every user would contribute a constant 1/k term). The
-    Gram matrix is formed in blocks of about ``GRAM_ENTRIES`` entries.
+    Gram matrix is formed in blocks of about ``GRAM_ENTRIES`` entries, one
+    contiguous range of blocks per worker thread. The blocks do not depend on
+    the worker count: BLAS rounds the edge tiles of a product by its shape (at
+    n = 2,100 some entries of 998-row blocks differ in the last bit from those
+    of 1,997-row blocks), and numpy forms a whole-matrix block as a symmetric
+    rank-k update.
     """
     matrix = _as_matrix(states)
     n = matrix.shape[1]
@@ -145,12 +187,19 @@ def ts_at_k(states, k: int) -> float:
         raise InvalidRequest(f"need 1 <= k <= n-1, got k={k}, n={n}")
     un = normalize_columns(matrix)
     per_user = np.empty(n)
-    for lo, hi in row_blocks(n, GRAM_ENTRIES, n):
-        gram = un[:, lo:hi].T @ un                 # (hi - lo, n)
-        gram[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
-        gram.partition(n - k, axis=1)
-        gram[:, n - k:].sort(axis=1)               # fixed summation order
-        per_user[lo:hi] = gram[:, n - k:].mean(axis=1)
+    blocks = row_blocks(n, GRAM_ENTRIES, n)
+    width = max(hi - lo for lo, hi in blocks)
+
+    def gram_blocks(a, b, buf):
+        for lo, hi in blocks[a:b]:
+            gram = np.matmul(un[:, lo:hi].T, un, out=buf[:hi - lo])   # (hi - lo, n)
+            gram[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
+            gram.partition(n - k, axis=1)
+            gram[:, n - k:].sort(axis=1)           # fixed summation order
+            per_user[lo:hi] = gram[:, n - k:].mean(axis=1)
+
+    parallel.run_split(gram_blocks, range(len(blocks) + 1), parallel.usable_cpus(),
+                       lambda: np.empty((width, n)))
     return float(per_user.mean())
 
 

@@ -1,7 +1,8 @@
-"""Scalar, one-user forms of batched operations, the row-at-a-time dataset
-reader, the pair-at-a-time synthetic edge draw and the general Kronecker
-form of the closed-form fixed point: the references tests check the
-program's kernels against. The program never calls them."""
+"""Scalar, one-user forms of batched operations, the single-threaded loops
+of the pairwise metric kernels, the row-at-a-time dataset reader, the
+pair-at-a-time synthetic edge draw and the general Kronecker form of the
+closed-form fixed point: the references tests check the program's kernels
+against. The program never calls them."""
 
 import csv
 
@@ -15,6 +16,8 @@ from recloop.catalog import (
     SocialGraph,
     build_social_graph,
     init_user_random,
+    normalize_columns,
+    row_blocks,
 )
 from recloop.errors import IndexOutOfRange, InvalidRequest, ParseError
 from recloop.experiment import FALLBACK_INIT_TAG
@@ -129,6 +132,33 @@ def pairwise_distances_rows(un: np.ndarray) -> np.ndarray:
         diffs = un[:, i + 1:] - un[:, i:i + 1]
         chunks.append(np.sqrt((diffs ** 2).sum(axis=0)))
     return np.concatenate(chunks) if chunks else np.zeros(0)
+
+
+def pairwise_distances_exact(un: np.ndarray) -> np.ndarray:
+    """All i<j column distances in lexicographic pair order, row by row on
+    one thread into one buffer, square roots taken at the end."""
+    n = un.shape[1]
+    out = np.empty(n * (n - 1) // 2)
+    for i in range(n - 1):
+        diffs = un[:, i + 1:] - un[:, i:i + 1]
+        lo = i * (2 * n - i - 1) // 2              # pairs of the rows before i
+        np.add.reduce(np.square(diffs, out=diffs), axis=0, out=out[lo:lo + n - 1 - i])
+    return np.sqrt(out, out=out)
+
+
+def ts_at_k_blocks(users: np.ndarray, k: int, entries: int = 1 << 22) -> float:
+    """TS@k with the Gram matrix formed block after block on one thread, each
+    block about ``entries`` entries."""
+    un = normalize_columns(np.asarray(users, dtype=float))
+    n = un.shape[1]
+    per_user = np.empty(n)
+    for lo, hi in row_blocks(n, entries, n):
+        gram = un[:, lo:hi].T @ un                 # (hi - lo, n)
+        gram[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
+        gram.partition(n - k, axis=1)
+        gram[:, n - k:].sort(axis=1)               # fixed summation order
+        per_user[lo:hi] = gram[:, n - k:].mean(axis=1)
+    return float(per_user.mean())
 
 
 def race(p: np.ndarray, h: int, rng: np.random.Generator) -> np.ndarray:

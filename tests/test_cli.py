@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from recloop import MitigationConfig, ModelParams
+from recloop import MitigationConfig, ModelParams, dynamics
 from recloop.cli import main
 from recloop.experiment import build_initial_users, generate_synthetic, ingest_interactions
 
@@ -53,13 +53,14 @@ class TestSimulate:
                        "--seed", "1", "--out-dir", str(tmp_path / "out"))
         assert code == 2
 
-    def test_runtime_error_exits_1(self, tmp_path):
-        # no social links -> neighbor distance fails mid-run
+    def test_runtime_error_exits_1(self, tmp_path, capsys):
+        # an update step of 1e308 overflows U -> non-finite scores mid-run
         code = run_cli("simulate", "--n", "8", "--m", "20", "--c", "3",
-                       "--links", "0", "--h", "4", "--steps", "2",
+                       "--links", "6", "--h", "4", "--steps", "3", "--eta", "1e308",
                        "--ts-k", "2", "--seed", "1",
                        "--out-dir", str(tmp_path))
         assert code == 1
+        assert "non-finite recommendation scores" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "out"
@@ -293,13 +294,34 @@ def test_bad_value_exits_2_naming_its_field(tmp_path, capsys, args, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", *BASE, "--links", "0", "--seed", "1"],
+    ["sweep", *BASE, "--seed", "1", "--axis", "links", "--values", "0"],
+    ["simulate", "--items-file", "items.csv", "--interactions-file",
+     "interactions.csv", "--trust-file", "trust.csv", "--h", "1", "--steps", "2",
+     "--ts-k", "1", "--seed", "1"],
+], ids=["simulate-links", "sweep-links", "self-loop-trust"])
+def test_world_without_edges_exits_2_before_the_first_step(tmp_path, capsys,
+                                                           monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    for name, text in {"items": "i1,0\ni2,1\n", "interactions": "u1,i1,5\nu2,i2,1\n",
+                       "trust": "u1,u1\nu2,u2\n"}.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    monkeypatch.setattr(dynamics, "simulate_step",
+                        lambda *a, **k: pytest.fail("a step ran"))
+    assert run_cli(*args, "--out-dir", "out") == 2
+    assert "the social graph has no edges" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args, blocked", [
     (["simulate", *BASE, "--seed", "1"], "metrics.csv"),
     (["sweep", *BASE, "--seed", "1", "--axis", "alpha", "--values", "0"],
      "sweep.csv"),
     (["synth", "--n", "10", "--m", "30", "--c", "3", "--links", "12",
       "--seed", "4"], "items.csv"),
-], ids=["simulate", "sweep", "synth"])
+    (["synth", "--n", "10", "--m", "30", "--c", "3", "--links", "12",
+      "--seed", "4"], "interactions.csv"),
+], ids=["simulate", "sweep", "synth", "synth-interactions"])
 def test_write_error_exits_1_naming_the_path(tmp_path, capsys, args, blocked):
     (tmp_path / blocked).mkdir()
     assert run_cli(*args, "--out-dir", str(tmp_path)) == 1

@@ -1,5 +1,7 @@
 """Echo-chamber / homogenization metric definitions against brute-force oracles."""
 
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recloop import metrics
+from recloop import metrics, parallel
 from recloop import (
     ItemCatalog,
     build_social_graph,
@@ -23,9 +25,14 @@ from recloop.metrics import (
     ra_with_diagnostics,
 )
 from recloop.catalog import normalize_columns
-from recloop.errors import InvalidRequest, InvalidSlate, NoEdges
+from recloop.errors import InvalidRequest, InvalidSlate, NoEdges, NumericalError
 
-from oracles import dispersion, pairwise_distances_rows
+from oracles import (
+    dispersion,
+    pairwise_distances_exact,
+    pairwise_distances_rows,
+    ts_at_k_blocks,
+)
 
 
 def catalog_ten():
@@ -167,10 +174,12 @@ class TestPdv:
 
     @settings(max_examples=60, deadline=None)
     @given(c=st.integers(1, 40), n=st.integers(2, 50), pairs=st.integers(1, 300),
-           entries=st.integers(1, 160), seed=st.integers(0, 2**32 - 1))
-    def test_sampled_blocks_do_not_change_result(self, c, n, pairs, entries, seed):
-        """Sampled PDV in blocks of pairs equals, bit for bit, the variance of
-        the norms of all sampled differences taken at once."""
+           entries=st.integers(1, 160), workers=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sampled_blocks_do_not_change_result(self, c, n, pairs, entries, workers,
+                                                 seed):
+        """Sampled PDV in blocks of pairs, on 1 to 3 workers, equals, bit for
+        bit, the variance of the norms of all sampled differences taken at once."""
         users = np.random.default_rng(seed).standard_normal((c, n))
         rng = np.random.default_rng(seed + 1)     # the pair draws pdv_with_mode makes
         ii = rng.integers(0, n, size=pairs)
@@ -179,7 +188,8 @@ class TestPdv:
         un = normalize_columns(users)
         whole = np.var(np.linalg.norm(un[:, ii] - un[:, jj], axis=0))
         assert pdv_with_mode(users, "sampled", pairs=pairs, seed=seed + 1)[0] == whole
-        with mock.patch.object(metrics, "PAIR_ENTRIES", entries):
+        with mock.patch.object(metrics, "PAIR_ENTRIES", entries), \
+                mock.patch.object(parallel, "usable_cpus", lambda: workers):
             assert pdv_with_mode(users, "sampled", pairs=pairs, seed=seed + 1)[0] == whole
 
     def test_sampled_estimator_close_to_exact(self):
@@ -232,6 +242,79 @@ class TestTsAtK:
         for entries in (8 * 57, 1):          # 8-row blocks; 2-row blocks
             monkeypatch.setattr(metrics, "GRAM_ENTRIES", entries)
             assert ts_at_k(users, 9) == whole
+
+
+class TestSplitKernels:
+    """Exact PDV, TS@k and sampled PDV split over worker threads give, bit for
+    bit, what the single-threaded loops give. The worker count and the split
+    thresholds are patched, so small worlds take the split path on any CPU."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.integers(1, 30), n=st.integers(2, 400), workers=st.sampled_from([2, 3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_exact_pdv_equals_single_thread_loop(self, c, n, workers, seed):
+        users = np.random.default_rng(seed).standard_normal((c, n))
+        un = normalize_columns(users)
+        oracle = pairwise_distances_exact(un)
+        with mock.patch.object(parallel, "usable_cpus", lambda: workers), \
+                mock.patch.object(metrics, "SPLIT_ENTRIES", 1):
+            np.testing.assert_array_equal(metrics._pairwise_distances_exact(un), oracle)
+            assert pdv_with_mode(users, "exact")[0] == np.var(oracle)
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.integers(1, 30), n=st.integers(2, 400), workers=st.sampled_from([2, 3]),
+           data=st.data())
+    def test_ts_at_k_equals_single_thread_loop(self, c, n, workers, data):
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        users = np.random.default_rng(seed).standard_normal((c, n))
+        k = data.draw(st.integers(1, n - 1), label="k")
+        entries = data.draw(st.integers(1, n * n), label="entries")
+        with mock.patch.object(parallel, "usable_cpus", lambda: workers), \
+                mock.patch.object(metrics, "GRAM_ENTRIES", entries):
+            assert ts_at_k(users, k) == ts_at_k_blocks(users, k, entries)
+
+    def test_desk_size_calls_start_no_thread(self, monkeypatch):
+        users = np.random.default_rng(6).standard_normal((10, 100))
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: pytest.fail("a thread was started"))
+        pdv_with_mode(users)
+        ts_at_k(users, 20)
+
+    def test_split_calls_leave_no_thread_behind(self, monkeypatch):
+        users = np.random.default_rng(7).standard_normal((6, 90))
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(metrics, "SPLIT_ENTRIES", 1)
+        monkeypatch.setattr(metrics, "GRAM_ENTRIES", 90 * 8)
+        monkeypatch.setattr(metrics, "PAIR_ENTRIES", 6 * 40)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: started.append(self) or start(self))
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            calls = [lambda: pdv_with_mode(users, "exact")[0], lambda: ts_at_k(users, 9),
+                     lambda: pdv_with_mode(users, "sampled", pairs=500)[0]]
+            values = []
+            for call in calls:
+                started.clear()
+                values.append(call())
+                assert started and threading.active_count() == before
+        finally:
+            sys.setswitchinterval(interval)
+        assert values[0] == np.var(pairwise_distances_exact(normalize_columns(users)))
+        assert values[1] == ts_at_k_blocks(users, 9, 90 * 8)
+
+    def test_worker_error_is_raised_and_no_thread_left(self):
+        def kernel(lo, hi, scratch):
+            if lo > 0:
+                raise NumericalError(f"rows {lo}-{hi}")
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match="rows 2-4"):
+            parallel.run_split(kernel, range(5), 2, lambda: None)
+        assert threading.active_count() == before
 
 
 def one_dispersion(u):
