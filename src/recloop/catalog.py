@@ -18,6 +18,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidItem,
     InvalidRequest,
+    NumericalError,
     ParseError,
 )
 
@@ -213,18 +214,17 @@ class UserStates:
     def n(self) -> int:
         return self.user_matrix.shape[1]
 
-    @property
-    def c(self) -> int:
-        return self.user_matrix.shape[0]
-
     def copy(self) -> "UserStates":
         return UserStates(self.user_matrix.copy(), self.t)
 
 
 def normalize_columns(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Column-wise unit normalization, into ``out`` when given; all-zero
-    columns are left as zeros."""
+    columns are left as zeros. A column whose norm overflows (entries above
+    about 1e154) raises NumericalError instead of normalizing to zeros."""
     norms = np.linalg.norm(matrix, axis=0)
+    if np.isinf(norms).any():
+        raise NumericalError("user vector norm overflows float64")
     safe = np.where(norms > 0, norms, 1.0)
     return np.divide(matrix, safe, out=out)
 
@@ -233,6 +233,8 @@ def row_blocks(n: int, entries: int, width: int) -> list[tuple[int, int]]:
     """Bounds (lo, hi) of consecutive blocks of about ``entries // width`` of
     n rows. No block has a single row unless n == 1: the last block takes a
     one-row remainder, because a one-row matmul (gemv) or one-column reduction
-    rounds differently, and no row's result may depend on the blocking."""
+    rounds differently. Blocks of other shapes can still round a row's
+    product differently (gemm edge tiles), so results are a pure function of
+    the inputs only at a fixed ``entries``."""
     starts = range(0, max(n - 1, 1), max(2, entries // width))
     return list(zip(starts, [*starts[1:], n]))

@@ -15,8 +15,11 @@ O(n * m); the race runs once per block, over a (block, m) key matrix, and
 feedback and the update are array work over the whole step. Randomness is
 counter-split per (step, user), and each user's stream is drawn in the same
 order whatever the block (the race's exponentials, the pad choice of a
-padded slate, then the feedback uniforms), so results are identical however
-the users are blocked.
+padded slate, then the feedback uniforms), so every draw is independent of
+the blocking. Floating-point results need not be: on a multi-category
+catalog a matrix product can round a row differently in blocks of another
+shape, so outputs are a pure function of (config, seeds) at the fixed
+``BLOCK_ENTRIES`` and ``metrics.GRAM_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -50,12 +53,6 @@ class StreamSplitter:
         return np.random.default_rng(
             np.random.SeedSequence(entropy=(self.master_seed, t, i))
         )
-
-
-def _as_splitter(rng) -> StreamSplitter:
-    if isinstance(rng, StreamSplitter):
-        return rng
-    return StreamSplitter(int(rng))
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -130,7 +127,6 @@ def _feedback_pair(dots: np.ndarray, beta: float, epsilon: float,
 class StepLog:
     """Everything drawn during one step, as arrays over users."""
 
-    t: int
     slate_items: np.ndarray        # (n, h) int
     signs: np.ndarray              # (n, h) int8
     p_pos: np.ndarray              # (n, h) float
@@ -138,30 +134,33 @@ class StepLog:
 
 
 class StrategyHooks:
-    """Override points for mitigation strategies; the base class is a no-op.
+    """The unmitigated model; strategies override one hook each.
 
-    ``candidate_count`` widens the sampled pool (for re-ranking hooks);
-    every other hook returns None to fall through to the default behavior.
+    Every hook returns its value; nothing falls through on None.
+    ``candidate_count`` widens the sampled pool (for re-ranking hooks).
+    ``user_alphas`` gives the (n,) temperatures, alpha for every user here;
+    ``social_matrix`` the (c, n) blended users that score the catalog;
     ``rerank`` is called once per user block, on the block's (c, b) user
-    vectors and (b, K) sampled pools, and must return (b, h) slates;
-    ``update_weights`` once per step, on the (n, h) sign matrix, and must
-    return weights of that shape. Hooks draw no random numbers, keep no state
-    between calls and are pure functions of their arguments.
+    vectors and (b, K) sampled pools, and must return (b, h) slates (here the
+    pool itself); ``update_weights`` once per step, on the (n, h) sign
+    matrix, and must return weights of that shape (here the signs). Hooks
+    draw no random numbers, keep no state between calls and are pure
+    functions of their arguments.
     """
 
     candidate_count: int | None = None
 
     def user_alphas(self, user_matrix: np.ndarray,
-                    params: ModelParams) -> np.ndarray | None:
-        return None
+                    params: ModelParams) -> np.ndarray:
+        return np.full(user_matrix.shape[1], params.alpha)
 
     def social_matrix(self, user_matrix: np.ndarray, graph: SocialGraph,
-                      params: ModelParams) -> np.ndarray | None:
-        return None
+                      params: ModelParams) -> np.ndarray:
+        return _social_matrix(user_matrix, graph, params.gamma)
 
     def rerank(self, u: np.ndarray, candidate_items: np.ndarray,
-               catalog: ItemCatalog, h: int) -> np.ndarray | None:
-        return None
+               catalog: ItemCatalog, h: int) -> np.ndarray:
+        return candidate_items
 
     def update_weights(self, signs: np.ndarray) -> np.ndarray:
         return signs.astype(np.float64)
@@ -181,18 +180,20 @@ def _social_matrix(user_matrix: np.ndarray, graph: SocialGraph,
 
 
 def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
-                  params: ModelParams, rng,
+                  params: ModelParams, master_seed: int,
                   hooks: StrategyHooks | None = None) -> tuple[UserStates, StepLog]:
     """Run one synchronous interaction round for every user.
 
     All slates and feedback are computed against U(t); U(t+1) is assembled
-    only after every user is processed. The provided ``rng`` is a master seed
-    or StreamSplitter; each user consumes exactly one (step, user) stream:
-    the race's exponentials, the pad choice of a padded slate, then the h
-    feedback uniforms. Returns U(t+1) and the step's ``StepLog``.
+    only after every user is processed. Each user consumes exactly one
+    (step, user) stream of ``StreamSplitter(master_seed)``: the race's
+    exponentials, the pad choice of a padded slate, then the h feedback
+    uniforms. Each hook of ``hooks`` (default: the unmitigated
+    ``StrategyHooks``) is called once per step, ``rerank`` once per user
+    block. Returns U(t+1) and the step's ``StepLog``.
     """
-    splitter = _as_splitter(rng)
-    hooks = hooks if hooks is not None else StrategyHooks()
+    splitter = StreamSplitter(master_seed)
+    hooks = hooks or StrategyHooks()
     U = states.user_matrix
     V = catalog.item_vectors
     n, m, h = U.shape[1], catalog.m, params.h
@@ -200,12 +201,7 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
         raise InvalidRequest(f"list length h={h} exceeds item count m={m}")
 
     alphas = hooks.user_alphas(U, params)
-    if alphas is None:
-        alphas = np.full(n, params.alpha)
-
     social = hooks.social_matrix(U, graph, params)
-    if social is None:
-        social = _social_matrix(U, graph, params.gamma)
 
     sample_size = h
     if hooks.candidate_count is not None:
@@ -225,8 +221,8 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
         pools = sample_without_replacement(probs.T, sample_size, streams)
         for stream, row in zip(streams, uniforms[lo:hi]):
             stream.random(out=row)
-        reranked = hooks.rerank(U[:, lo:hi], pools, catalog, h)   # draws nothing
-        items = pools if reranked is None else np.asarray(reranked, dtype=np.int64)
+        items = np.asarray(hooks.rerank(U[:, lo:hi], pools, catalog, h),
+                           dtype=np.int64)                  # draws nothing
         if items.shape != (hi - lo, h):
             raise InvalidRequest(f"rerank returned shape {items.shape} for users "
                                  f"{lo}..{hi - 1}, expected {(hi - lo, h)}")
@@ -245,8 +241,8 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     # In the memory order of U: the metrics round differently by layout.
     new_U = np.add(U, (params.eta / h) * moves.T, out=np.empty_like(U))
 
-    log = StepLog(t=states.t, slate_items=slate_items, signs=signs,
-                  p_pos=p_pos, padded=padded)
+    log = StepLog(slate_items=slate_items, signs=signs, p_pos=p_pos,
+                  padded=padded)
     return UserStates(new_U, states.t + 1), log
 
 
@@ -293,7 +289,6 @@ def run(initial_states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     if settings is None:
         settings = MetricSettings(ts_k=min(50, initial_states.n - 1))
 
-    splitter = _as_splitter(master_seed)
     states = initial_states.copy()
     records: list[MetricsRecord] = []
     logs: list[StepLog] | None = [] if keep_step_logs else None
@@ -301,7 +296,7 @@ def run(initial_states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
 
     for t in range(T):
         new_states, log = simulate_step(states, catalog, graph, params,
-                                        splitter, hooks)
+                                        master_seed, hooks)
         padded += int(log.padded.sum())
         if t in schedule:
             records.append(compute_metrics_record(

@@ -39,7 +39,7 @@ def build_operators(catalog: ItemCatalog, graph: SocialGraph,
                     params: ModelParams) -> OperatorSet:
     """Assemble the affine-update operators from the item matrix and parameters.
 
-    With epsilon = 0 both x and Z vanish exactly and Y reduces to
+    With epsilon = 0 the formulas give x = 0 and Z = 0 and reduce Y to
     I + (eta*beta/m) V V^T, which is diagonal for single-category catalogs.
     """
     V = catalog.item_vectors
@@ -50,17 +50,12 @@ def build_operators(catalog: ItemCatalog, graph: SocialGraph,
     vsum = V.sum(axis=1)
     outer = np.outer(vsum, vsum)
 
-    if e == 0.0:
-        x = np.zeros(catalog.c)
-        Z = np.zeros((catalog.c, catalog.c))
-        Y = np.eye(catalog.c) + (eta * b / m) * vvt
-    else:
-        x = (eta * e / m) * vsum
-        Y = (np.eye(catalog.c)
-             + (eta * (a * e * g + b) / m) * vvt
-             - (eta * a * e * g / m ** 2) * outer)
-        Z = ((eta * a * e * (1 - g) / m) * vvt
-             - (eta * a * e * (1 - g) / m ** 2) * outer)
+    x = (eta * e / m) * vsum
+    Y = (np.eye(catalog.c)
+         + (eta * (a * e * g + b) / m) * vvt
+         - (eta * a * e * g / m ** 2) * outer)
+    Z = ((eta * a * e * (1 - g) / m) * vvt
+         - (eta * a * e * (1 - g) / m ** 2) * outer)
     return OperatorSet(x=x, Y=Y, Z=Z, S_tilde=graph.influence_matrix,
                        params_used=params)
 

@@ -34,17 +34,14 @@ def _random_edges(rng, n: int, count: int) -> set[tuple[int, int]]:
     return edges
 
 
-def _random_instance(rng, single_category=False):
+def _random_instance(rng):
     n = int(rng.integers(2, 11))
     c = int(rng.integers(2, 6))
     m = int(rng.integers(c, 51))
-    if single_category:
-        sets = [(int(rng.integers(0, c)),) for _ in range(m)]
-    else:
-        sets = []
-        for _ in range(m):
-            k = int(rng.integers(1, min(3, c) + 1))
-            sets.append(tuple(sorted(rng.choice(c, size=k, replace=False).tolist())))
+    sets = []
+    for _ in range(m):
+        k = int(rng.integers(1, min(3, c) + 1))
+        sets.append(tuple(sorted(rng.choice(c, size=k, replace=False).tolist())))
     catalog = ItemCatalog.from_category_sets(sets, c)
     n_edges = int(rng.integers(0, n * (n - 1) // 2 + 1))
     graph = build_social_graph(_random_edges(rng, n, n_edges), n)

@@ -62,6 +62,29 @@ class TestSimulate:
         assert code == 1
         assert "non-finite recommendation scores" in capsys.readouterr().err
 
+    def test_norm_overflow_exits_1(self, tmp_path, capsys):
+        # an update step of 1e200 keeps U finite but overflows its norms
+        code = run_cli("simulate", "--n", "8", "--m", "20", "--c", "3",
+                       "--links", "6", "--h", "4", "--steps", "3", "--eta", "1e200",
+                       "--ts-k", "2", "--seed", "1",
+                       "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "norm overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config"),
+        ("{\"alpha\": 1,", "bad JSON in"),
+    ], ids=["missing", "bad-json"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "config.json"
+        if content is not None:
+            cfg.write_text(content)
+        code = run_cli("simulate", *BASE, "--config", str(cfg), "--seed", "1",
+                       "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("simulate", *BASE, "--seed", "3",
@@ -240,6 +263,12 @@ class TestCompare:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_summary_that_is_not_json_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "summary.json"
+        bad.write_text("t,seed,rce\n")
+        assert run_cli("compare", "--candidate", str(bad), "--baseline", str(bad)) == 2
+        assert f"bad JSON in {bad}" in capsys.readouterr().err
+
     def test_missing_summary_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         code = run_cli("compare", "--candidate", missing, "--baseline", missing)
@@ -288,7 +317,21 @@ class TestSynth:
     (["sweep", *BASE, "--seed", "1", "--axis", "c", "--values", "0,3"],
      "c must be >= 1"),
     (["synth", "--n", "10", "--links", "-4", "--seed", "1"], "links must be >= 0"),
-], ids=["simulate-c", "simulate-links", "simulate-ts_k", "sweep-c", "synth-links"])
+    (["simulate", *BASE, "--steps", "0", "--seed", "1"], "steps must be >= 1"),
+    (["simulate", *BASE, "--burn-in", "6", "--seed", "1"], "burn_in must lie"),
+    (["simulate", *BASE, "--burn-in", "-1", "--seed", "1"], "burn_in must lie"),
+    (["simulate", *BASE, "--metric-every", "0", "--seed", "1"],
+     "metric_every must be >= 1"),
+    (["simulate", *BASE, "--seed", ","], "empty seed list"),
+    (["simulate", *BASE, "--seed", "a,b"], "bad seed list 'a,b'"),
+    (["simulate", "--items-file", "items.csv", "--trust-file", "trust.csv",
+      "--seed", "1"], "interactions"),
+    (["simulate", "--items-file", "items.csv", "--interactions-file",
+      "interactions.csv", "--seed", "1"], "trust"),
+], ids=["simulate-c", "simulate-links", "simulate-ts_k", "sweep-c", "synth-links",
+        "simulate-steps", "simulate-burn_in-high", "simulate-burn_in-low",
+        "simulate-metric_every", "simulate-seed-empty", "simulate-seed-not-int",
+        "simulate-interactions_file", "simulate-trust_file"])
 def test_bad_value_exits_2_naming_its_field(tmp_path, capsys, args, message):
     assert run_cli(*args, "--out-dir", str(tmp_path)) == 2
     assert message in capsys.readouterr().err

@@ -19,7 +19,7 @@ from recloop import (
 )
 from recloop.dynamics import StrategyHooks, _feedback_pair, _social_matrix, _softmax
 from recloop.errors import InvalidRequest, NumericalError
-from recloop.mitigation import MitigationConfig, build_hooks
+from recloop.mitigation import DiversityRerankHooks, MitigationConfig, build_hooks
 
 from oracles import race
 
@@ -347,20 +347,16 @@ def mixed_world(n, m, c, links, seed):
     return ItemCatalog.from_category_sets(sets, c), graph, states
 
 
-def reference_step(states, catalog, graph, params, rng, hooks=None):
+def reference_step(states, catalog, graph, params, seed, hooks=None):
     """The engine one user at a time: the reference the blocked step must
     match bit for bit (whole-step softmax, 1-D race, per-user feedback)."""
-    splitter = dynamics._as_splitter(rng)
-    hooks = hooks if hooks is not None else StrategyHooks()
+    splitter = StreamSplitter(seed)
+    hooks = hooks or StrategyHooks()
     U = states.user_matrix
     V = catalog.item_vectors
     n, m, h = U.shape[1], catalog.m, params.h
     alphas = hooks.user_alphas(U, params)
-    if alphas is None:
-        alphas = np.full(n, params.alpha)
     social = hooks.social_matrix(U, graph, params)
-    if social is None:
-        social = _social_matrix(U, graph, params.gamma)
     logits = (V.T @ social) * alphas[None, :]
     e = np.exp(logits - logits.max(axis=0, keepdims=True))
     probs = e / e.sum(axis=0, keepdims=True)
@@ -376,9 +372,7 @@ def reference_step(states, catalog, graph, params, rng, hooks=None):
         stream = splitter.user_stream(states.t, i)
         padded[i] = int((probs[:, i] > 0).sum()) < sample_size
         items = race(probs[:, i], sample_size, stream)
-        reranked = hooks.rerank(U[:, i], items, catalog, h)
-        if reranked is not None:
-            items = np.asarray(reranked, dtype=np.int64)
+        items = np.asarray(hooks.rerank(U[:, i], items, catalog, h), dtype=np.int64)
         pos, _ = _feedback_pair(V[:, items].T @ U[:, i], params.beta,
                                 params.epsilon)
         s = np.where(stream.random(h) < pos, 1, -1).astype(np.int8)
@@ -450,7 +444,10 @@ class TestBlockedStep:
     def test_block_size_changes_nothing(self, n, m, c, alpha, seed):
         """Counter-split streams make every draw independent of the blocking:
         a block constant worth 1, 2, 7 and n users gives bit-equal steps (a
-        block holds two users or more unless n == 1)."""
+        block holds two users or more unless n == 1). This holds for these
+        small worlds (c <= 4); on larger multi-category catalogs a product in
+        blocks of another shape can round a logit differently, so outputs
+        are fixed only at the fixed ``BLOCK_ENTRIES``."""
         catalog, graph, states = mixed_world(n=n, m=m, c=c,
                                              links=min(n * (n - 1), 2 * n),
                                              seed=seed)
@@ -507,8 +504,7 @@ class TestSimulateStep:
         params = ModelParams(h=5)
         out = []
         for _ in range(2):
-            _, log = simulate_step(states.copy(), catalog, graph, params,
-                                   StreamSplitter(77))
+            _, log = simulate_step(states.copy(), catalog, graph, params, 77)
             out.append(log)
         np.testing.assert_array_equal(out[0].slate_items, out[1].slate_items)
         np.testing.assert_array_equal(out[0].signs, out[1].signs)
@@ -564,6 +560,18 @@ class TestSimulateStep:
         with pytest.raises(InvalidRequest, match="rerank"):
             simulate_step(states, catalog, graph, ModelParams(h=5), 0, BadHooks())
 
+    def test_candidate_pool_smaller_than_slate_rejected(self):
+        """A hand-built re-rank hook whose pool is shorter than h would
+        return repeated items that the shape check cannot see."""
+        catalog, graph, states = tiny_world(m=20)
+        with pytest.raises(InvalidRequest, match="candidate pool 5"):
+            simulate_step(states, catalog, graph, ModelParams(h=10), 0,
+                          DiversityRerankHooks(0.5, candidate_count=5))
+
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(InvalidRequest, match="master seed"):
+            StreamSplitter(-1)
+
     def test_h_exceeding_catalog_rejected(self):
         catalog, graph, states = tiny_world(m=5)
         with pytest.raises(InvalidRequest):
@@ -597,8 +605,7 @@ class TestSimulateStep:
         reps = 100_000
         acc = np.zeros(3)
         for r in range(reps):
-            new_states, _ = simulate_step(states, catalog, graph, params,
-                                          StreamSplitter(r))
+            new_states, _ = simulate_step(states, catalog, graph, params, r)
             acc += new_states.user_matrix[:, 0]
         mean_update = acc / reps
         # coordinate std of one update is ~eta/h per item; 4 standard errors

@@ -411,6 +411,18 @@ class TestRunExperiment:
         with pytest.raises(InvalidRequest):
             small_config(seeds=(1, 1))
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(items_file="i.csv", interactions_file="r.csv", trust_file="t.csv"),
+         "exactly one of"),
+        (dict(synthetic=None), "exactly one of"),
+        (dict(dataset_kind="netflix"), "unknown dataset kind 'netflix'"),
+    ], ids=["both-datasets", "no-dataset", "dataset-kind"])
+    def test_config_validation(self, overrides, message):
+        """The rejections no flag reaches: the CLI builds one dataset spec, and
+        ``--dataset-kind`` checks its choices first."""
+        with pytest.raises(InvalidRequest, match=message):
+            small_config(**overrides)
+
 
 class TestSweep:
     def test_axis_values_produce_summaries(self, tmp_path):
@@ -500,6 +512,26 @@ class TestCompareRuns:
         b = run_experiment(small_config(seeds=(2,)), None)
         rows = compare_runs(a, b)
         assert all(row.p_value is None for row in rows)
+
+    @staticmethod
+    def with_values(summary, name, values):
+        """``summary`` with the per-seed values of one metric replaced."""
+        stats = dict(summary.stats)
+        stats[name] = dataclasses.replace(stats[name], mean=float(np.mean(values)),
+                                          per_seed=tuple(values))
+        return dataclasses.replace(summary, stats=stats)
+
+    def test_zero_baseline_mean_rejected(self):
+        base = run_experiment(small_config(seeds=(1, 2)), None)
+        with pytest.raises(InvalidRequest, match="baseline mean for rce is zero"):
+            compare_runs(base, self.with_values(base, "rce", [0.0, 0.0]))
+
+    def test_identical_constant_values_give_p_one(self):
+        base = self.with_values(run_experiment(small_config(seeds=(1, 2)), None),
+                                "ra", [0.5, 0.5])
+        rows = {row.metric: row for row in compare_runs(base, base)}
+        assert rows["ra"].p_value == 1.0
+        assert rows["ra"].improvement_pct == 0.0
 
     def test_mismatched_schedules_rejected(self):
         a = run_experiment(small_config(seeds=(1,)), None)

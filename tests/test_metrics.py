@@ -100,6 +100,11 @@ class TestRa:
         assert value == 1.0
         assert excluded == 1
 
+    def test_all_zero_users_score_zero(self):
+        cat = ItemCatalog.from_category_sets([(0,), (1,)], 2)
+        users = np.zeros((2, 3))
+        assert ra_with_diagnostics(users, np.zeros((3, 2), int), cat) == (0.0, 3)
+
 
 class TestNd:
     def test_identical_users(self):
@@ -134,6 +139,10 @@ class TestPdv:
     def test_needs_two_users(self):
         with pytest.raises(InvalidRequest):
             pdv_with_mode(np.array([[1.0], [0.0]]))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(InvalidRequest, match="unknown pdv mode 'fast'"):
+            pdv_with_mode(np.eye(2), "fast")
 
     def test_exact_matches_brute_force_bitwise(self):
         rng = np.random.default_rng(0)
@@ -315,6 +324,16 @@ class TestSplitKernels:
         with pytest.raises(NumericalError, match="rows 2-4"):
             parallel.run_split(kernel, range(5), 2, lambda: None)
         assert threading.active_count() == before
+
+
+class TestNormalizeColumns:
+    def test_overflowing_norm_raises(self):
+        """A column whose squares overflow raises instead of reading as zero;
+        one just below keeps its direction."""
+        np.testing.assert_array_equal(normalize_columns(np.array([[1e150], [0.0]])),
+                                      [[1.0], [0.0]])
+        with pytest.raises(NumericalError, match="overflow"):
+            normalize_columns(np.array([[1.0, 1e200], [0.0, 0.0]]))
 
 
 def one_dispersion(u):
