@@ -13,21 +13,24 @@ the sampling race and the re-rank hook in blocks of about
 ``BLOCK_ENTRIES // m`` users, so a step holds O(block * m) floats, never
 O(n * m); the race runs once per block, over a (block, m) key matrix, and
 feedback and the update are array work over the whole step. Randomness is
-counter-split per (step, user), and each user's stream is drawn in the same
-order whatever the block (the race's exponentials, the pad choice of a
-padded slate, then the feedback uniforms), so every draw is independent of
-the blocking. Floating-point results need not be: on a multi-category
-catalog a matrix product can round a row differently in blocks of another
-shape, so outputs are a pure function of (config, seeds) at the fixed
-``BLOCK_ENTRIES`` and ``metrics.GRAM_ENTRIES``.
+counter-split per (step, user): each user draws from the PCG64 stream of
+``SeedSequence((master, t, i))``, and ``StreamSplitter.block_streams``
+hashes the seeds of a whole block at once, bit for bit. Each user's stream
+is drawn in the same order whatever the block (the race's exponentials,
+the pad choice of a padded slate, then the feedback uniforms), so every
+draw is independent of the blocking. Floating-point results need not be:
+on a multi-category catalog a matrix product can round a row differently
+in blocks of another shape, so outputs are a pure function of (config,
+seeds) at the fixed ``BLOCK_ENTRIES`` and ``metrics.GRAM_ENTRIES``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .catalog import ItemCatalog, ModelParams, SocialGraph, UserStates, row_blocks
 from .errors import InvalidRequest, NumericalError
@@ -40,8 +43,11 @@ BLOCK_ENTRIES = 1 << 19     # entries of one (m, block) array in simulate_step
 class StreamSplitter:
     """Derives an independent random stream for every (step, user) pair.
 
-    Built on seed-sequence hashing of (master, step, user), so per-user work
-    can be reordered or parallelized without changing a single draw.
+    ``user_stream(t, i)`` defines the stream: a PCG64 generator seeded by
+    ``SeedSequence((master, t, i))``, so per-user work can be reordered or
+    parallelized without changing a single draw. ``block_streams`` builds
+    the same generators for a block of users, hashing the block's seeds in
+    one pass of uint32 array arithmetic instead of one ``SeedSequence`` each.
     """
 
     def __init__(self, master_seed: int):
@@ -53,6 +59,78 @@ class StreamSplitter:
         return np.random.default_rng(
             np.random.SeedSequence(entropy=(self.master_seed, t, i))
         )
+
+    def block_streams(self, t: int, lo: int, hi: int) -> list[np.random.Generator]:
+        """``[self.user_stream(t, i) for i in range(lo, hi)]``, bit for bit."""
+        if t < 0 or not 0 <= lo <= hi <= 1 << 32:
+            raise InvalidRequest(f"no stream for step {t}, users {lo}..{hi - 1}: "
+                                 "users lie in [0, 2**32), steps are >= 0")
+        users = np.arange(lo, hi, dtype=np.uint32)
+        prefix = _uint32_words(self.master_seed) + _uint32_words(t)
+        entropy = [np.full(users.size, w, dtype=np.uint32) for w in prefix] + [users]
+        return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
+                for words in _seed_state(entropy)]
+
+
+# SeedSequence's constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_POOL_SIZE = 4
+
+
+class _SeedWords(ISeedSequence):
+    """Hands PCG64 the words that ``SeedSequence.generate_state`` would give."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _uint32_words(x: int) -> list[int]:
+    """The 32-bit words of x, low first, as SeedSequence splits an int (0 is [0])."""
+    return [x >> shift & 0xFFFFFFFF for shift in range(0, max(x.bit_length(), 1), 32)]
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix; each call moves the hash constant on one step."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _seed_state(entropy: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` for many users.
+
+    ``entropy`` lists the entropy's uint32 words, each an array over users;
+    returns (users, 4) uint64. This is ``mix_entropy`` over a pool of 4,
+    then ``generate_state``, in uint32 array arithmetic, which wraps as
+    numpy's compiled code does.
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[k] if k < len(entropy) else np.zeros_like(entropy[0]))
+            for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[k % _POOL_SIZE]) for k in range(2 * _POOL_SIZE)]
+    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -93,13 +171,16 @@ def sample_without_replacement(p: np.ndarray, h: int, rng) -> np.ndarray:
     idx = np.argpartition(keys, h - 1, axis=1)[:, :h]
     out = np.take_along_axis(idx, np.argsort(np.take_along_axis(keys, idx, axis=1),
                                              axis=1, kind="stable"), axis=1)
-    positive = p > 0
-    for r in np.flatnonzero(positive.sum(axis=1) < h):
-        winners = np.flatnonzero(positive[r])
-        winners = winners[np.argsort(keys[r, winners], kind="stable")]
-        pad = rng[r].choice(np.flatnonzero(~positive[r]), size=h - winners.size,
-                            replace=False)
-        out[r] = np.concatenate([winners, pad])
+    # A row with fewer than h positive items has drawn one that is not
+    # positive, so only such a row is counted.
+    for r in np.flatnonzero(~(np.take_along_axis(p, idx, axis=1) > 0).all(axis=1)):
+        positive = p[r] > 0
+        winners = np.flatnonzero(positive)
+        if winners.size < h:
+            winners = winners[np.argsort(keys[r, winners], kind="stable")]
+            pad = rng[r].choice(np.flatnonzero(~positive), size=h - winners.size,
+                                replace=False)
+            out[r] = np.concatenate([winners, pad])
     return out
 
 
@@ -166,16 +247,19 @@ class StrategyHooks:
         return signs.astype(np.float64)
 
 
-def _social_matrix(user_matrix: np.ndarray, graph: SocialGraph,
-                   gamma: float) -> np.ndarray:
+def _social_matrix(user_matrix: np.ndarray, graph: SocialGraph, gamma: float,
+                   influence: Callable | None = None) -> np.ndarray:
     """Each column blends the user's vector with the mean of its neighbors'.
 
     The mean is a row of the influence matrix, so an isolated user's own
-    vector stands in; at gamma 1 the graph is not read at all.
+    vector stands in. ``influence``, if given, is called for a reweighted
+    influence matrix in place of the graph's. At gamma 1 neither the graph
+    nor ``influence`` is read.
     """
     if gamma == 1.0:
         return user_matrix
-    neighbor_means = (graph.influence_matrix @ user_matrix.T).T
+    matrix = graph.influence_matrix if influence is None else influence()
+    neighbor_means = (matrix @ user_matrix.T).T
     return gamma * user_matrix + (1.0 - gamma) * neighbor_means
 
 
@@ -186,11 +270,12 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
 
     All slates and feedback are computed against U(t); U(t+1) is assembled
     only after every user is processed. Each user consumes exactly one
-    (step, user) stream of ``StreamSplitter(master_seed)``: the race's
-    exponentials, the pad choice of a padded slate, then the h feedback
-    uniforms. Each hook of ``hooks`` (default: the unmitigated
-    ``StrategyHooks``) is called once per step, ``rerank`` once per user
-    block. Returns U(t+1) and the step's ``StepLog``.
+    (step, user) stream of ``StreamSplitter(master_seed)``, built with the
+    rest of its block by ``block_streams``: the race's exponentials, the pad
+    choice of a padded slate, then the h feedback uniforms. Each hook of
+    ``hooks`` (default: the unmitigated ``StrategyHooks``) is called once
+    per step, ``rerank`` once per user block. Returns U(t+1) and the step's
+    ``StepLog``.
     """
     splitter = StreamSplitter(master_seed)
     hooks = hooks or StrategyHooks()
@@ -217,7 +302,7 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     for lo, hi in row_blocks(n, BLOCK_ENTRIES, m):
         probs = _softmax((V.T @ social[:, lo:hi]) * alphas[None, lo:hi])   # (m, block)
         padded[lo:hi] = (probs > 0).sum(axis=0) < sample_size
-        streams = [splitter.user_stream(states.t, i) for i in range(lo, hi)]
+        streams = splitter.block_streams(states.t, lo, hi)
         pools = sample_without_replacement(probs.T, sample_size, streams)
         for stream, row in zip(streams, uniforms[lo:hi]):
             stream.random(out=row)

@@ -103,9 +103,10 @@ class ExperimentConfig:
         if file_based == (self.synthetic is not None):
             raise InvalidRequest(
                 "configure exactly one of synthetic spec or dataset files")
-        if file_based and (self.interactions_file is None or self.trust_file is None):
-            raise InvalidRequest(
-                "file-based runs need items, interactions, and trust files")
+        missing = [name for name in ("interactions_file", "trust_file")
+                   if getattr(self, name) is None]
+        if file_based and missing:
+            raise InvalidRequest(f"file-based runs need {' and '.join(missing)}")
         if self.dataset_kind not in TS_K_DEFAULTS:
             raise InvalidRequest(f"unknown dataset kind {self.dataset_kind!r}")
         if self.burn_in < 0 or self.burn_in >= self.steps:

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .catalog import ItemCatalog, ModelParams, SocialGraph
-from .dynamics import StrategyHooks
+from .dynamics import StrategyHooks, _social_matrix
 from .errors import InvalidRequest
 from .metrics import dispersions
 
@@ -167,13 +167,9 @@ class SocialReweightHooks(StrategyHooks):
         self.strict_denominator = strict_denominator
 
     def social_matrix(self, user_matrix, graph, params):
-        if params.gamma == 1.0:
-            return user_matrix
-        dis = dispersions(user_matrix)
-        weighted = _reweighted_influence(graph, dis, self.omega,
-                                         self.strict_denominator)
-        agg = (weighted @ user_matrix.T).T
-        return params.gamma * user_matrix + (1.0 - params.gamma) * agg
+        return _social_matrix(user_matrix, graph, params.gamma, lambda: (
+            _reweighted_influence(graph, dispersions(user_matrix), self.omega,
+                                  self.strict_denominator)))
 
 
 def _reweighted_influence(graph: SocialGraph, dis: np.ndarray, omega: float,

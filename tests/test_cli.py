@@ -337,6 +337,18 @@ def test_bad_value_exits_2_naming_its_field(tmp_path, capsys, args, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, named, unnamed", [
+    (["--items-file", "items.csv", "--trust-file", "trust.csv"],
+     "interactions_file", "trust_file"),
+    (["--items-file", "items.csv", "--interactions-file", "interactions.csv"],
+     "trust_file", "interactions_file"),
+], ids=["interactions_file", "trust_file"])
+def test_missing_dataset_file_is_named_alone(tmp_path, capsys, args, named, unnamed):
+    assert run_cli("simulate", *args, "--seed", "1", "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert named in err and unnamed not in err
+
+
 @pytest.mark.parametrize("args", [
     ["simulate", *BASE, "--links", "0", "--seed", "1"],
     ["sweep", *BASE, "--seed", "1", "--axis", "links", "--values", "0"],

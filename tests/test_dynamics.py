@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import recloop as rl
@@ -182,6 +182,25 @@ class TestSampleWithoutReplacement:
             twin = np.random.default_rng([seed, r])
             np.testing.assert_array_equal(got[r], race(p[r], h, twin))
             assert streams[r].random() == twin.random()
+
+    def test_overflowing_keys_are_not_padding(self):
+        """Positive entries so small that their keys overflow to inf tie with
+        the zero-mass items, and the race can draw a zero-mass item. A row
+        that still has h positive entries draws no pad; a row with fewer
+        draws one. Each matches the oracle and leaves its stream where the
+        oracle leaves it."""
+        p = np.zeros((4, 12))
+        p[0, 6:] = 5e-324                    # 6 positive >= h, all keys inf
+        p[1, :6] = 5e-324                    # the same, positive items first
+        p[2, :2], p[2, 8:] = 0.5, 5e-324     # 6 positive >= h, 4 keys inf
+        p[3, :2] = 0.5                       # 2 positive < h: padded
+        streams = [np.random.default_rng([3, r]) for r in range(4)]
+        with np.errstate(over="ignore"):
+            got = sample_without_replacement(p, 4, streams)
+            for r in range(4):
+                twin = np.random.default_rng([3, r])
+                np.testing.assert_array_equal(got[r], race(p[r], 4, twin))
+                assert streams[r].random() == twin.random()
 
     def test_inclusion_frequency_matches_expectation(self):
         """Empirical inclusion rates track h*p_j for a skewed distribution.
@@ -467,6 +486,49 @@ class TestBlockedStep:
                                               getattr(first, name))
             np.testing.assert_array_equal(new_states.user_matrix,
                                           first_states.user_matrix)
+
+
+class TestBlockStreams:
+    """``block_streams`` hashes a block's seeds in one pass; each of its
+    generators is the one ``user_stream`` builds through ``SeedSequence``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(master=st.integers(0, 2**128 - 1), t=st.integers(0, 2**33),
+           lo=st.one_of(st.integers(0, 1000), st.integers(2**32 - 300, 2**32 - 1)),
+           size=st.one_of(st.just(1), st.integers(2, 300)))
+    @example(master=0, t=0, lo=0, size=1)
+    @example(master=2**32 - 1, t=2**32 - 1, lo=2**32 - 1, size=1)
+    @example(master=2**32, t=2**32, lo=2**32 - 200, size=200)
+    @example(master=2**100, t=2**33, lo=0, size=100)
+    def test_state_is_seed_sequence_state(self, master, t, lo, size):
+        hi = min(lo + size, 2**32)
+        streams = StreamSplitter(master).block_streams(t, lo, hi)
+        assert len(streams) == hi - lo
+        for i, stream in zip(range(lo, hi), streams):
+            want = np.random.PCG64(np.random.SeedSequence((master, t, i))).state
+            assert stream.bit_generator.state == want
+
+    def test_draws_are_user_stream_draws(self):
+        """The step's draws in the step's order: the race's exponentials, a
+        pad choice, the feedback uniforms."""
+        splitter = StreamSplitter(2**40 + 7)
+        zero_mass = np.arange(30, 50)
+        for i, stream in zip(range(3, 9), splitter.block_streams(2**32 + 5, 3, 9)):
+            twin = splitter.user_stream(2**32 + 5, i)
+            for draw in (lambda g: g.standard_exponential(50),
+                         lambda g: g.choice(zero_mass, size=6, replace=False),
+                         lambda g: g.random(20)):
+                np.testing.assert_array_equal(draw(stream), draw(twin))
+
+    @pytest.mark.parametrize("t, lo, hi", [
+        (0, 2**32 - 1, 2**32 + 1), (0, 2**32, 2**32 + 1), (-1, 0, 3), (0, -1, 3),
+        (0, 3, 2)])
+    def test_out_of_range_rejected(self, t, lo, hi):
+        with pytest.raises(InvalidRequest, match=r"2\*\*32"):
+            StreamSplitter(1).block_streams(t, lo, hi)
+
+    def test_empty_block(self):
+        assert StreamSplitter(1).block_streams(4, 7, 7) == []
 
 
 class TestSimulateStep:
