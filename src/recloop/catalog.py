@@ -194,6 +194,8 @@ class ModelParams:
             raise InvalidRequest("epsilon must lie in [-1, 1]")
         if self.eta < 0:
             raise InvalidRequest("eta must be >= 0")
+        if isinstance(self.h, bool) or not isinstance(self.h, (int, np.integer)):
+            raise InvalidRequest(f"h must be an integer, not {self.h!r}")
         if self.h < 1:
             raise InvalidRequest("h must be >= 1")
 

@@ -10,9 +10,13 @@ The engine is synchronous: every slate and every feedback draw in a step is
 computed against the state snapshot at the start of the step, and the updated
 matrix is written in a single pass afterwards. Users go through the softmax,
 the sampling race and the re-rank hook in blocks of about
-``BLOCK_ENTRIES // m`` users, so a step holds O(block * m) floats, never
-O(n * m); the race runs once per block, over a (block, m) key matrix, and
-feedback and the update are array work over the whole step. Randomness is
+``BLOCK_ENTRIES // m`` users, never all n at once; the race runs once per
+block, over a (block, m) key matrix, and feedback and the update are array
+work over the whole step. A block's scores, softmaxed in place, and its race
+keys live in one flat scratch of 2 * m * block floats (about
+2 * ``BLOCK_ENTRIES``, 8 MB, unless m is so large that a block's two or
+three users exceed it), which ``run`` allocates once and every step reuses,
+so a step does not fault fresh pages in for them. Randomness is
 counter-split per (step, user): each user draws from the PCG64 stream of
 ``SeedSequence((master, t, i))``, and ``StreamSplitter.block_streams``
 hashes the seeds of a whole block at once, bit for bit. Each user's stream
@@ -134,14 +138,21 @@ def _seed_state(entropy: list[np.ndarray]) -> np.ndarray:
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax over axis 0: of a vector, or of each column of a matrix."""
+    """Softmax over axis 0: of a vector, or of each column of a matrix.
+
+    Works in place: ``scores`` (float64) is overwritten by the probabilities
+    and returned. Non-finite scores raise before anything is written.
+    """
     if not np.isfinite(scores).all():
         raise NumericalError("non-finite recommendation scores")
-    e = np.exp(scores - scores.max(axis=0, keepdims=True))
-    return e / e.sum(axis=0, keepdims=True)
+    scores -= scores.max(axis=0, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=0, keepdims=True)
+    return scores
 
 
-def sample_without_replacement(p: np.ndarray, h: int, rng) -> np.ndarray:
+def sample_without_replacement(p: np.ndarray, h: int, rng,
+                               keys: np.ndarray | None = None) -> np.ndarray:
     """Draw h distinct indices with sequential draw-and-renormalize semantics.
 
     Implemented as an exponential race (Efraimidis and Spirakis 2006): item j
@@ -155,18 +166,22 @@ def sample_without_replacement(p: np.ndarray, h: int, rng) -> np.ndarray:
     of one generator per row. The race runs once over the whole (rows, m) key
     matrix, but row r of the (rows, h) result, and the draws it takes from
     ``rng[r]`` (m exponentials, then the pad choice of a padded row), are
-    those of the 1-D call on ``p[r]``, which is the one-row case.
+    those of the 1-D call on ``p[r]``, which is the one-row case. ``keys``,
+    if given, is a C-contiguous float64 array of p's shape that the race
+    overwrites with its keys instead of allocating them; it must not overlap
+    ``p``. The draws and the result do not depend on it.
     """
     p = np.asarray(p, dtype=float)
     m = p.shape[-1]
     if h > m:
         raise InvalidRequest(f"cannot draw {h} distinct items from {m}")
     if p.ndim == 1:
-        return sample_without_replacement(p[None], h, [rng])[0]
-    keys = np.empty(p.shape)
+        return sample_without_replacement(
+            p[None], h, [rng], None if keys is None else keys[None])[0]
+    keys = np.empty(p.shape) if keys is None else keys
     for row, stream in zip(keys, rng):
         stream.standard_exponential(out=row)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):   # inf keys: p 0 or tiny
         keys /= p
     idx = np.argpartition(keys, h - 1, axis=1)[:, :h]
     out = np.take_along_axis(idx, np.argsort(np.take_along_axis(keys, idx, axis=1),
@@ -263,9 +278,21 @@ def _social_matrix(user_matrix: np.ndarray, graph: SocialGraph, gamma: float,
     return gamma * user_matrix + (1.0 - gamma) * neighbor_means
 
 
+def _block_scratch(n: int, m: int, scratch: np.ndarray | None = None) -> np.ndarray:
+    """``scratch`` if it holds the 2 * m * block floats of the largest user
+    block of ``simulate_step`` (its scores, then its race keys), else a new
+    flat float64 array of that size."""
+    size = 2 * m * max(hi - lo for lo, hi in row_blocks(n, BLOCK_ENTRIES, m))
+    if (scratch is None or scratch.size < size or scratch.dtype != np.float64
+            or not scratch.flags.c_contiguous):
+        return np.empty(size)
+    return scratch
+
+
 def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
                   params: ModelParams, master_seed: int,
-                  hooks: StrategyHooks | None = None) -> tuple[UserStates, StepLog]:
+                  hooks: StrategyHooks | None = None,
+                  scratch: np.ndarray | None = None) -> tuple[UserStates, StepLog]:
     """Run one synchronous interaction round for every user.
 
     All slates and feedback are computed against U(t); U(t+1) is assembled
@@ -276,6 +303,13 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     ``hooks`` (default: the unmitigated ``StrategyHooks``) is called once
     per step, ``rerank`` once per user block. Returns U(t+1) and the step's
     ``StepLog``.
+
+    Each block's (m, b) scores, softmaxed in place, and the race's (b, m)
+    keys are C-contiguous views of one flat float64 ``scratch``, which
+    ``run`` allocates once and passes to every step. Without one, or with
+    one too small for the blocks, the step allocates its own. Nothing the
+    step returns or hands a hook is a view of it, and its contents never
+    change a result.
     """
     splitter = StreamSplitter(master_seed)
     hooks = hooks or StrategyHooks()
@@ -299,18 +333,23 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     uniforms = np.empty((n, h))
     padded = np.empty(n, dtype=bool)
 
+    scratch = _block_scratch(n, m, scratch)
     for lo, hi in row_blocks(n, BLOCK_ENTRIES, m):
-        probs = _softmax((V.T @ social[:, lo:hi]) * alphas[None, lo:hi])   # (m, block)
+        b = hi - lo
+        scores = np.matmul(V.T, social[:, lo:hi], out=scratch[:m * b].reshape(m, b))
+        scores *= alphas[None, lo:hi]
+        probs = _softmax(scores)                                # (m, block)
         padded[lo:hi] = (probs > 0).sum(axis=0) < sample_size
         streams = splitter.block_streams(states.t, lo, hi)
-        pools = sample_without_replacement(probs.T, sample_size, streams)
+        pools = sample_without_replacement(probs.T, sample_size, streams,
+                                           scratch[m * b:2 * m * b].reshape(b, m))
         for stream, row in zip(streams, uniforms[lo:hi]):
             stream.random(out=row)
         items = np.asarray(hooks.rerank(U[:, lo:hi], pools, catalog, h),
                            dtype=np.int64)                  # draws nothing
-        if items.shape != (hi - lo, h):
+        if items.shape != (b, h):
             raise InvalidRequest(f"rerank returned shape {items.shape} for users "
-                                 f"{lo}..{hi - 1}, expected {(hi - lo, h)}")
+                                 f"{lo}..{hi - 1}, expected {(b, h)}")
         slate_items[lo:hi] = items
 
     # Per user, the same gemv as V[:, items].T @ u and V[:, items] @ w.
@@ -365,7 +404,8 @@ def run(initial_states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
 
     Metrics at step t are computed from U(t) together with the slates drawn
     at step t (before the update is applied), matching how the per-step
-    series are reported.
+    series are reported. One step scratch (see ``simulate_step``) is
+    allocated for the run and reused by every step.
     """
     if T < 1:
         raise InvalidRequest(f"need T >= 1, got {T}")
@@ -378,10 +418,11 @@ def run(initial_states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     records: list[MetricsRecord] = []
     logs: list[StepLog] | None = [] if keep_step_logs else None
     padded = 0
+    scratch = _block_scratch(states.n, catalog.m)
 
     for t in range(T):
         new_states, log = simulate_step(states, catalog, graph, params,
-                                        master_seed, hooks)
+                                        master_seed, hooks, scratch=scratch)
         padded += int(log.padded.sum())
         if t in schedule:
             records.append(compute_metrics_record(

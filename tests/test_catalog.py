@@ -238,3 +238,12 @@ class TestModelParams:
 
     def test_zero_eta_allowed(self):
         assert ModelParams(eta=0.0).eta == 0.0
+
+    @pytest.mark.parametrize("h", [2.5, 3.0, True, "3"])
+    def test_rejects_h_that_is_not_an_integer(self, h):
+        """A float h, even 3.0, would pass and fail the first step untyped."""
+        with pytest.raises(InvalidRequest, match="h must be an integer"):
+            ModelParams(h=h)
+
+    def test_numpy_integer_h_allowed(self):
+        assert ModelParams(h=np.int64(3)).h == 3

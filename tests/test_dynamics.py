@@ -1,5 +1,7 @@
 """The stochastic interaction round: slates, feedback, updates, trajectories."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +20,7 @@ from recloop import (
     simulate_step,
 )
 from recloop.dynamics import StrategyHooks, _feedback_pair, _social_matrix, _softmax
-from recloop.errors import InvalidRequest, NumericalError
+from recloop.errors import InvalidRequest, NumericalError, RecloopError
 from recloop.mitigation import DiversityRerankHooks, MitigationConfig, build_hooks
 
 from oracles import race
@@ -201,6 +203,30 @@ class TestSampleWithoutReplacement:
                 twin = np.random.default_rng([3, r])
                 np.testing.assert_array_equal(got[r], race(p[r], 4, twin))
                 assert streams[r].random() == twin.random()
+
+    def test_key_buffer_changes_nothing(self):
+        """A given key buffer, whatever it holds, gives the draws, the result
+        and the stream positions of an allocated one, padded rows and the
+        1-D call included; the race leaves its keys in it."""
+        p = np.random.default_rng(12).dirichlet(np.ones(30), size=5)
+        p[2, 3:] = 0.0                       # 3 positive entries < h: padded
+        for block in (p, p[0]):
+            rows = np.atleast_2d(block)
+            fresh = [np.random.default_rng([4, r]) for r in range(len(rows))]
+            reused = [np.random.default_rng([4, r]) for r in range(len(rows))]
+            keys = np.full(block.shape, np.nan)
+            want = sample_without_replacement(block, 6, fresh if block.ndim == 2
+                                              else fresh[0])
+            got = sample_without_replacement(block, 6, reused if block.ndim == 2
+                                             else reused[0], keys)
+            np.testing.assert_array_equal(got, want)
+            assert [g.random() for g in reused] == [g.random() for g in fresh]
+            twins = [np.random.default_rng([4, r]) for r in range(len(rows))]
+            with np.errstate(divide="ignore"):
+                np.testing.assert_array_equal(
+                    np.atleast_2d(keys),
+                    [t.standard_exponential(rows.shape[1]) / row
+                     for t, row in zip(twins, rows)])
 
     def test_inclusion_frequency_matches_expectation(self):
         """Empirical inclusion rates track h*p_j for a skewed distribution.
@@ -486,6 +512,177 @@ class TestBlockedStep:
                                               getattr(first, name))
             np.testing.assert_array_equal(new_states.user_matrix,
                                           first_states.user_matrix)
+
+
+def log_arrays(log):
+    return [log.slate_items, log.signs, log.p_pos, log.padded]
+
+
+class TestStepScratch:
+    """``run`` hands every step one flat scratch for the blocks' scores and
+    race keys; it must change no result and leave nothing aliasing it."""
+
+    M = 150
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        """Four blocks of 5 users and a narrower last block of 2."""
+        monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 5 * self.M)
+
+    def world(self):
+        return mixed_world(n=22, m=self.M, c=4, links=60, seed=5)
+
+    @pytest.mark.parametrize("strategy", ["none", "dpp"])
+    def test_run_matches_lone_steps(self, strategy):
+        catalog, graph, states = self.world()
+        params = ModelParams(h=6)
+        hooks = build_hooks(
+            MitigationConfig(strategy=strategy, **STRATEGY_KNOBS[strategy]),
+            params)
+        traj = run(states, catalog, graph, params, 5, metric_schedule=[],
+                   hooks=hooks, master_seed=8, keep_step_logs=True)
+        for log in traj.step_logs:
+            states, lone = simulate_step(states, catalog, graph, params, 8, hooks)
+            for got, want in zip(log_arrays(log), log_arrays(lone)):
+                np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(traj.final_states.user_matrix,
+                                      states.user_matrix)
+
+    def test_run_hands_every_step_one_scratch(self, monkeypatch):
+        catalog, graph, states = self.world()
+        scratches = []
+        step = dynamics.simulate_step
+
+        def spy(*args, scratch=None, **kwargs):
+            scratches.append(scratch)
+            return step(*args, scratch=scratch, **kwargs)
+
+        monkeypatch.setattr(dynamics, "simulate_step", spy)
+        run(states, catalog, graph, ModelParams(h=6), 3, metric_schedule=[])
+        assert len(scratches) == 3 and scratches[0] is not None
+        assert all(s is scratches[0] for s in scratches)
+        assert scratches[0].size == 2 * 5 * self.M
+
+    def test_outputs_outlive_the_next_step(self):
+        """Step t's log, U(t+1) and the pools handed to ``rerank`` are not
+        views of the scratch: step t+1 on the same scratch leaves them be."""
+        catalog, graph, states = self.world()
+        params = ModelParams(h=6)
+        pools = []
+
+        class RecordingHooks(StrategyHooks):
+            candidate_count = 10
+
+            def rerank(self, u, candidate_items, catalog, h):
+                pools.append(candidate_items)
+                return candidate_items[:, :h]
+
+        scratch = dynamics._block_scratch(states.n, catalog.m)
+        next_states, log = simulate_step(states, catalog, graph, params, 8,
+                                         RecordingHooks(), scratch=scratch)
+        outputs = [next_states.user_matrix, *log_arrays(log), *pools]
+        assert len(pools) == 5
+        kept = [a.copy() for a in outputs]
+        simulate_step(next_states, catalog, graph, params, 8, RecordingHooks(),
+                      scratch=scratch)
+        for before, after in zip(kept, outputs):
+            np.testing.assert_array_equal(after, before)
+            assert not np.shares_memory(after, scratch)
+
+    def test_any_scratch_gives_the_same_step(self, monkeypatch):
+        """Whatever the scratch holds, and a scratch too small, of another
+        dtype or strided, each gives the step made without one; so does the
+        run's scratch after ``BLOCK_ENTRIES`` is raised past it."""
+        catalog, graph, states = self.world()
+        params = ModelParams(h=6)
+
+        def assert_step(scratch):
+            want_states, want = simulate_step(states, catalog, graph, params, 8)
+            got_states, got = simulate_step(states, catalog, graph, params, 8,
+                                            scratch=scratch)
+            for a, b in zip(log_arrays(got), log_arrays(want)):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(got_states.user_matrix,
+                                          want_states.user_matrix)
+
+        size = dynamics._block_scratch(states.n, catalog.m).size
+        assert size == 2 * 5 * self.M
+        run_scratch = np.full(size, np.nan)
+        for scratch in (run_scratch, np.full(3, np.nan),
+                        np.full(size, np.nan, dtype=np.float32),
+                        np.full(2 * size, np.nan)[::2]):
+            assert_step(scratch)
+        monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 11 * self.M)
+        assert_step(run_scratch)
+
+    def test_race_gets_contiguous_disjoint_block_views(self, monkeypatch):
+        """Every block, the narrower last one included, softmaxes a
+        C-contiguous (m, b) view of the scratch, as a fresh array would be,
+        and races in a C-contiguous (b, m) key view that does not overlap
+        it."""
+        catalog, graph, states = self.world()
+        scratch = dynamics._block_scratch(states.n, catalog.m)
+        seen = []
+        race_fn = dynamics.sample_without_replacement
+
+        def spy(p, h, rng, keys=None):
+            seen.append((p, keys))
+            return race_fn(p, h, rng, keys)
+
+        monkeypatch.setattr(dynamics, "sample_without_replacement", spy)
+        simulate_step(states, catalog, graph, ModelParams(h=6), 8, scratch=scratch)
+        assert [p.shape for p, _ in seen] == [(5, self.M)] * 4 + [(2, self.M)]
+        for p, keys in seen:
+            assert p.T.flags.c_contiguous and keys.flags.c_contiguous
+            assert keys.shape == p.shape
+            assert np.shares_memory(p, scratch) and np.shares_memory(keys, scratch)
+            assert not np.shares_memory(p, keys)
+
+
+class TestStressGrid:
+    """Extreme parameters, 20 steps each through the in-place softmax on one
+    reused scratch, as ``run`` takes them."""
+
+    @pytest.mark.parametrize("isolated", [False, True])
+    def test_invariants_hold_at_every_step(self, isolated, monkeypatch):
+        """U stays finite or a typed error is raised, slates hold distinct
+        in-range items, p_pos lies in [0, 1], and ``padded`` equals a plain
+        numpy count of positive probabilities below h. Single-category items
+        make every score exact, and 12 categories of 40 items leave fewer
+        than h items positive at a huge alpha, so padding is reached."""
+        n, m, h = 12, 40, 5
+        monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 5 * m)   # 5, 5, 2 users
+        catalog, graph, states = tiny_world(n=n, m=m, c=12, links=24, seed=3)
+        if isolated:
+            graph = build_social_graph([], n)
+        V = catalog.item_vectors
+        scratch = dynamics._block_scratch(n, m)
+        padded_at_huge_alpha = 0
+        for alpha, beta, epsilon, gamma in itertools.product(
+                (0.0, 5.0, 3e4), (0.0, 20.0), (-1.0, 0.0, 1.0), (0.0, 1.0)):
+            params = ModelParams(alpha=alpha, beta=beta, gamma=gamma,
+                                 epsilon=epsilon, h=h)
+            step_states = states
+            for _ in range(20):
+                U = step_states.user_matrix
+                try:
+                    step_states, log = simulate_step(step_states, catalog, graph,
+                                                     params, 7, scratch=scratch)
+                except RecloopError:
+                    break
+                assert np.isfinite(step_states.user_matrix).all()
+                slates = log.slate_items
+                assert ((0 <= slates) & (slates < m)).all()
+                assert (np.diff(np.sort(slates, axis=1), axis=1) > 0).all()
+                assert ((0 <= log.p_pos) & (log.p_pos <= 1)).all()
+                logits = (V.T @ _social_matrix(U, graph, gamma)) * alpha
+                e = np.exp(logits - logits.max(axis=0))
+                probs = e / e.sum(axis=0)
+                np.testing.assert_array_equal(log.padded,
+                                              (probs > 0).sum(axis=0) < h)
+                if alpha == 3e4:
+                    padded_at_huge_alpha += int(log.padded.sum())
+        assert padded_at_huge_alpha > 0
 
 
 class TestBlockStreams:
