@@ -10,7 +10,6 @@ from .catalog import (
     ModelParams,
     SocialGraph,
     UserStates,
-    build_item_vector,
     build_social_graph,
     init_user_random,
     normalize_columns,

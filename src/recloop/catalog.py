@@ -2,13 +2,15 @@
 
 Items live in a c-dimensional category space: an item tagged with k categories
 has value sqrt(1/k) on each of those coordinates and 0 elsewhere, so every
-item vector has unit Euclidean norm. Users start as unit vectors (from
+item vector has unit Euclidean norm and the (c, m) item matrix holds every
+fact about the items. Users start as unit vectors (from
 interaction history or random init) and evolve unnormalized afterwards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,56 +27,66 @@ from .errors import (
 UNIT_NORM_TOL = 1e-12
 
 
-def build_item_vector(categories: Iterable[int], c: int) -> np.ndarray:
-    """Unit vector with sqrt(1/k) on each of the item's k category coordinates."""
-    cats = sorted(set(int(x) for x in categories))
-    if not cats:
-        raise InvalidItem("item must belong to at least one category")
-    if cats[0] < 0 or cats[-1] >= c:
-        raise IndexOutOfRange(f"category index out of range for c={c}: {cats}")
-    v = np.zeros(c)
-    v[cats] = np.sqrt(1.0 / len(cats))
-    return v
-
-
 @dataclass(frozen=True)
 class ItemCatalog:
-    """The c x m item matrix plus per-item category sets and category masses.
+    """The c x m item matrix, the catalog's only stored state.
 
-    ``category_mass[o]`` is the summed o-th coordinate over all item vectors;
-    for an all-single-category catalog it equals the integer item count of
-    category o. Immutable after construction and safe to share across workers.
+    Every other item fact is read from it: ``c`` and ``m`` are its shape,
+    ``category_mass[o]`` is the summed o-th coordinate over all item vectors
+    (for an all-single-category catalog, the integer item count of category
+    o), and ``category_sets`` is its nonzero pattern. Immutable after
+    construction and safe to share across workers.
     """
 
     item_vectors: np.ndarray                      # c x m, columns unit norm
-    category_sets: tuple[tuple[int, ...], ...]    # per item
-    category_mass: np.ndarray                     # length c
-    m: int
-    c: int
 
     def __post_init__(self):
         self.item_vectors.flags.writeable = False
-        self.category_mass.flags.writeable = False
+
+    @property
+    def c(self) -> int:
+        return self.item_vectors.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.item_vectors.shape[1]
+
+    @property
+    def category_mass(self) -> np.ndarray:
+        return self.item_vectors.sum(axis=1)
+
+    @property
+    def category_sets(self) -> tuple[tuple[int, ...], ...]:
+        """Each item's sorted categories, as tuples of ints."""
+        items, cats = np.nonzero(self.item_vectors.T)
+        ends = np.bincount(items, minlength=self.m).cumsum().tolist()
+        return tuple(tuple(cats[lo:hi].tolist()) for lo, hi in zip([0, *ends], ends))
 
     @classmethod
-    def from_category_sets(
-        cls, category_sets: Sequence[Iterable[int]], c: int
-    ) -> "ItemCatalog":
-        sets = tuple(tuple(sorted(set(int(x) for x in s))) for s in category_sets)
-        m = len(sets)
-        vectors = np.zeros((c, m))
-        for j, cats in enumerate(sets):
-            vectors[:, j] = build_item_vector(cats, c)
-        return cls(
-            item_vectors=vectors,
-            category_sets=sets,
-            category_mass=vectors.sum(axis=1),
-            m=m,
-            c=c,
-        )
+    def from_category_sets(cls, category_sets: Sequence[Iterable[int]],
+                           c: int) -> "ItemCatalog":
+        """The catalog whose item j has sqrt(1/k) on each of its k distinct
+        categories, in one vectorized pass: ids may repeat and come in any
+        order. The first item in input order with no categories raises
+        InvalidItem, or with an id outside [0, c) IndexOutOfRange, naming
+        its index and categories."""
+        sets = list(map(tuple, category_sets))
+        sizes = np.fromiter(map(len, sets), np.int64, len(sets))
+        flat = np.fromiter(chain.from_iterable(sets), np.int64, sizes.sum())
+        item = np.repeat(np.arange(len(sets)), sizes)
+        bad = sizes == 0
+        bad[item[(flat < 0) | (flat >= c)]] = True
+        if bad.any():
+            j = int(np.argmax(bad))
+            error = IndexOutOfRange if sets[j] else InvalidItem
+            raise error(f"item {j} has categories {sorted(set(map(int, sets[j])))}"
+                        f"; it needs at least one, each in [0, {c})")
+        mask = np.zeros((c, len(sets)), dtype=bool)
+        mask[flat, item] = True
+        return cls(np.where(mask, np.sqrt(1.0 / mask.sum(axis=0)), 0.0))
 
     def all_single_category(self) -> bool:
-        return all(len(s) == 1 for s in self.category_sets)
+        return bool((np.count_nonzero(self.item_vectors, axis=0) == 1).all())
 
 
 def init_user_random(seed, c: int) -> np.ndarray:

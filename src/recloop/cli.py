@@ -144,11 +144,12 @@ def _merge_config_file(parser: argparse.ArgumentParser,
             raise InvalidRequest(f"bad JSON in {args.config}: {exc}") from exc
         if not isinstance(merged, dict):
             raise InvalidRequest(f"config {args.config} must hold a JSON object")
-        unknown = sorted(set(merged) - set(vars(args)))
+        actions = {action.dest: action for action in parser._actions
+                   if action.dest not in ("config", "help")}
+        unknown = sorted(set(merged) - set(actions))
         if unknown:
             raise InvalidRequest(f"unknown key(s) {', '.join(map(repr, unknown))} "
                                  f"in config {args.config}")
-        actions = {action.dest: action for action in parser._actions}
         merged = {key: _file_value(actions[key], key, value)
                   for key, value in merged.items()}
     for key, value in vars(args).items():
@@ -253,12 +254,11 @@ def _cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     catalog, states, graph = generate_synthetic(
         args.n, args.m, args.c, args.links, args.seed)
-    category = np.array([cats[0] for cats in catalog.category_sets])
+    category = catalog.item_vectors.argmax(axis=0)
     ratings = _synthetic_ratings(states.user_matrix, category, args.seed)
     with _output_file(out / "interactions.csv", newline="") as handle:
         np.savetxt(handle, np.column_stack(ratings), fmt="%d", delimiter=",")
-    _write_csv(out / "items.csv", ([j, ";".join(map(str, cats))]
-                                   for j, cats in enumerate(catalog.category_sets)))
+    _write_csv(out / "items.csv", enumerate(category.tolist()))
     _write_csv(out / "trust.csv", graph.edge_array.tolist())
     export_states(states, out / "users.csv")
     print(f"wrote items.csv ({catalog.m} items), interactions.csv "

@@ -643,6 +643,8 @@ def sweep(config: ExperimentConfig, axis: str, values: Sequence,
     if axis not in SWEEP_AXES:
         raise InvalidRequest(f"unknown sweep axis {axis!r}")
     values = list(values)
+    if not values:
+        raise InvalidRequest("sweep needs at least one value")
     if len(set(values)) != len(values):
         raise InvalidRequest("sweep values must be distinct")
     if axis not in PARAM_AXES and config.synthetic is None:

@@ -228,7 +228,6 @@ class MetricsRecord:
     nd: float
     pdv: float
     ts_at_k: float
-    k_used: int
     pdv_mode: str
     pdv_pairs: int | None = None
     ra_excluded: int = 0
@@ -247,8 +246,7 @@ def compute_metrics_record(t: int, states, slate_matrix: np.ndarray,
     _check_record_bounds(rce_val, ra_val, nd_val, ts_val, catalog.c)
     return MetricsRecord(
         t=t, rce=rce_val, ra=ra_val, nd=nd_val, pdv=pdv_val, ts_at_k=ts_val,
-        k_used=settings.ts_k, pdv_mode=pdv_mode_used, pdv_pairs=pdv_pairs,
-        ra_excluded=ra_excl,
+        pdv_mode=pdv_mode_used, pdv_pairs=pdv_pairs, ra_excluded=ra_excl,
     )
 
 

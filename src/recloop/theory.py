@@ -32,7 +32,6 @@ class OperatorSet:
     Y: np.ndarray                  # c x c
     Z: np.ndarray                  # c x c
     S_tilde: sp.csr_matrix         # n x n row-stochastic
-    params_used: ModelParams
 
 
 def build_operators(catalog: ItemCatalog, graph: SocialGraph,
@@ -56,8 +55,7 @@ def build_operators(catalog: ItemCatalog, graph: SocialGraph,
          - (eta * a * e * g / m ** 2) * outer)
     Z = ((eta * a * e * (1 - g) / m) * vvt
          - (eta * a * e * (1 - g) / m ** 2) * outer)
-    return OperatorSet(x=x, Y=Y, Z=Z, S_tilde=graph.influence_matrix,
-                       params_used=params)
+    return OperatorSet(x=x, Y=Y, Z=Z, S_tilde=graph.influence_matrix)
 
 
 def matrix_step(U: np.ndarray, ops: OperatorSet) -> np.ndarray:

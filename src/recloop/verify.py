@@ -38,10 +38,8 @@ def _random_instance(rng):
     n = int(rng.integers(2, 11))
     c = int(rng.integers(2, 6))
     m = int(rng.integers(c, 51))
-    sets = []
-    for _ in range(m):
-        k = int(rng.integers(1, min(3, c) + 1))
-        sets.append(tuple(sorted(rng.choice(c, size=k, replace=False).tolist())))
+    sets = [rng.choice(c, size=int(rng.integers(1, min(3, c) + 1)), replace=False)
+            for _ in range(m)]
     catalog = ItemCatalog.from_category_sets(sets, c)
     n_edges = int(rng.integers(0, n * (n - 1) // 2 + 1))
     graph = build_social_graph(_random_edges(rng, n, n_edges), n)

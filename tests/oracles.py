@@ -1,4 +1,5 @@
-"""Scalar, one-user forms of batched operations, the single-threaded loops
+"""Scalar, one-user forms of batched operations, the item-at-a-time catalog
+build, the single-threaded loops
 of the pairwise metric kernels, the row-at-a-time dataset reader, the
 pair-at-a-time synthetic edge draw and the general Kronecker form of the
 closed-form fixed point: the references tests check the program's kernels
@@ -19,8 +20,23 @@ from recloop.catalog import (
     normalize_columns,
     row_blocks,
 )
-from recloop.errors import IndexOutOfRange, InvalidRequest, ParseError
+from recloop.errors import IndexOutOfRange, InvalidItem, InvalidRequest, ParseError
 from recloop.experiment import FALLBACK_INIT_TAG
+
+
+def catalog_reference(category_sets, c: int):
+    """The item matrix, category masses and sorted category sets, built one
+    item at a time with sqrt(1/k) on each of an item's k categories; the
+    first bad item raises."""
+    sets = tuple(tuple(sorted(set(int(x) for x in s))) for s in category_sets)
+    vectors = np.zeros((c, len(sets)))
+    for j, cats in enumerate(sets):
+        if not cats:
+            raise InvalidItem("item must belong to at least one category")
+        if cats[0] < 0 or cats[-1] >= c:
+            raise IndexOutOfRange(f"category index out of range for c={c}: {cats}")
+        vectors[cats, j] = np.sqrt(1.0 / len(cats))
+    return vectors, vectors.sum(axis=1), sets
 
 
 def fua_weight(sign: int, rho: float) -> float:

@@ -1,5 +1,7 @@
 """Item vectors, user initialization, and social graph construction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from recloop import (
     ItemCatalog,
     ModelParams,
-    build_item_vector,
     build_social_graph,
     init_user_random,
 )
@@ -21,7 +22,7 @@ from recloop.errors import (
 
 from recloop.experiment import IngestResult, build_initial_users
 
-from oracles import influence_reference
+from oracles import catalog_reference, influence_reference
 
 
 def history_start(positives, negatives, catalog):
@@ -36,26 +37,78 @@ def history_start(positives, negatives, catalog):
     return None if substituted else states.user_matrix[:, 0]
 
 
+def item_vector(categories, c):
+    """The one column of a one-item catalog."""
+    return ItemCatalog.from_category_sets([categories], c).item_vectors[:, 0]
+
+
 class TestBuildItemVector:
     def test_single_category_is_basis_vector(self):
-        np.testing.assert_array_equal(build_item_vector({2}, 4), [0, 0, 1, 0])
+        np.testing.assert_array_equal(item_vector({2}, 4), [0, 0, 1, 0])
 
     def test_two_categories_split_mass(self):
-        v = build_item_vector({0, 2}, 4)
+        v = item_vector({0, 2}, 4)
         np.testing.assert_allclose(v, [np.sqrt(0.5), 0, np.sqrt(0.5), 0])
 
     def test_empty_categories_rejected(self):
         with pytest.raises(InvalidItem):
-            build_item_vector(set(), 4)
+            item_vector(set(), 4)
 
     def test_out_of_range_category(self):
         with pytest.raises(IndexOutOfRange):
-            build_item_vector({4}, 4)
+            item_vector({4}, 4)
 
     @given(st.sets(st.integers(0, 9), min_size=1, max_size=10))
     def test_unit_norm_for_any_category_set(self, cats):
-        v = build_item_vector(cats, 10)
+        v = item_vector(cats, 10)
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+
+
+# Unsorted category lists with repeated ids, one to four entries each.
+raw_sets = st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=4),
+                    max_size=25)
+BAD_ITEMS = [[], [-1], [6], [0, 9], [2, -4, 2]]     # for c = 6
+
+
+class TestOnePassBuild:
+    """``from_category_sets`` against the item-at-a-time reference."""
+
+    @given(raw_sets, st.integers(6, 8))
+    @example([], 3)
+    @example([[2, 0, 2], [1], [5, 5, 5, 5], [3, 1, 4, 1]], 6)
+    @settings(max_examples=100)
+    def test_matches_per_item_build_bit_for_bit(self, sets, c):
+        vectors, mass, ref_sets = catalog_reference(sets, c)
+        cat = ItemCatalog.from_category_sets(sets, c)
+        assert (cat.c, cat.m) == vectors.shape
+        assert cat.item_vectors.dtype == vectors.dtype
+        assert cat.item_vectors.tobytes() == vectors.tobytes()
+        assert cat.category_mass.tobytes() == mass.tobytes()
+        assert cat.category_sets == ref_sets
+        assert all(type(o) is int for cats in cat.category_sets for o in cats)
+        assert cat.all_single_category() == all(len(s) == 1 for s in ref_sets)
+
+    @given(raw_sets, st.lists(st.tuples(st.sampled_from(BAD_ITEMS),
+                                        st.integers(0, 30)), min_size=1, max_size=3))
+    @example([[0], [1]], [([], 1), ([6], 2)])
+    @example([[0], [1]], [([0, 9], 0), ([], 2)])
+    @settings(max_examples=100)
+    def test_errors_name_the_first_bad_item(self, sets, insertions):
+        """Bad items (no categories, or an id outside [0, 6)) placed among
+        good ones: the build raises the reference's error, naming the first
+        bad item."""
+        c = 6
+        for item, at in insertions:
+            sets = [*sets[:at], item, *sets[at:]]
+        first = next(j for j, s in enumerate(sets)
+                     if not s or not all(0 <= o < c for o in s))
+        with pytest.raises((InvalidItem, IndexOutOfRange)) as ref:
+            catalog_reference(sets, c)
+        with pytest.raises(type(ref.value), match=rf"^item {first} has"):
+            ItemCatalog.from_category_sets(sets, c)
+
+    def test_fields_are_the_item_matrix_only(self):
+        assert [f.name for f in dataclasses.fields(ItemCatalog)] == ["item_vectors"]
 
 
 class TestCategoryMass:

@@ -125,6 +125,20 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("content", [{"func": 1}, {"command": "x"},
+                                         {"config": "other.json"}],
+                             ids=["func", "command", "config"])
+    def test_config_key_that_names_no_flag_exits_2(self, tmp_path, capsys,
+                                                   content):
+        """The parser's own namespace entries are not flags a file may set."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(content))
+        code = run_cli("simulate", *BASE, "--config", str(cfg), "--seed", "1",
+                       "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert f"unknown key(s) {next(iter(content))!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_equals_flags(self, tmp_path):
         """A config file is read as its flags are: both write the same bytes."""
         cfg = tmp_path / "config.json"
@@ -222,6 +236,12 @@ class TestSweep:
         assert (tmp_path / "sweep.csv").exists()
         assert (tmp_path / "alpha=0.0" / "summary.json").exists()
         assert (tmp_path / "alpha=5.0" / "summary.json").exists()
+
+    def test_no_values_exits_2(self, tmp_path):
+        code = run_cli("sweep", *BASE, "--seed", "1", "--axis", "alpha",
+                       "--values", ",", "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_bad_axis_value_exits_2(self, tmp_path):
         code = run_cli("sweep", *BASE, "--seed", "1", "--axis", "gamma",

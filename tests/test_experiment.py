@@ -452,6 +452,11 @@ class TestSweep:
         assert results[4].config["synthetic"]["c"] == 4
         assert results[6].config["synthetic"]["c"] == 6
 
+    def test_no_values_rejected(self, tmp_path):
+        with pytest.raises(InvalidRequest, match="at least one value"):
+            sweep(small_config(), "alpha", [], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_duplicate_values_rejected(self):
         with pytest.raises(InvalidRequest):
             sweep(small_config(), "alpha", [1.0, 1.0], None)

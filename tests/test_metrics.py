@@ -387,7 +387,6 @@ class TestRecordAssembly:
         assert 0 <= rec.ra <= 1
         assert 0 <= rec.nd <= 2
         assert rec.ts_at_k <= 1 + 1e-9
-        assert rec.k_used == 4
         assert rec.pdv_mode == "exact"
 
     def test_permutation_invariance(self):

@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "MetricsRecord", "MitigationConfig", "ModelParams", "OperatorSet",
     "RunSummary", "SocialGraph", "StepLog", "StrategyHooks", "StreamSplitter",
     "SyntheticSpec", "Trajectory", "UserStates", "adaptive_alpha",
-    "build_hooks", "build_item_vector", "build_operators", "build_social_graph",
+    "build_hooks", "build_operators", "build_social_graph",
     "compare_runs", "compute_metrics_record", "convergence_margin",
     "dispersions", "expected_entropy_series", "export_states",
     "fixed_point", "generate_synthetic", "homogenization_condition",

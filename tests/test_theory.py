@@ -84,8 +84,7 @@ class TestBuildOperators:
 class TestMatrixStep:
     def test_identity_dynamics(self):
         ops = OperatorSet(x=np.zeros(2), Y=np.eye(2), Z=np.zeros((2, 2)),
-                          S_tilde=sp.csr_matrix(np.eye(3)),
-                          params_used=ModelParams(h=1))
+                          S_tilde=sp.csr_matrix(np.eye(3)))
         U = np.arange(6.0).reshape(2, 3)
         np.testing.assert_array_equal(matrix_step(U, ops), U)
 
@@ -93,8 +92,7 @@ class TestMatrixStep:
         Y = np.array([[0.3, 0.1], [0.0, 0.5]])
         Z = np.array([[0.2, 0.0], [0.1, 0.1]])
         x = np.array([1.0, 2.0])
-        ops = OperatorSet(x=x, Y=Y, Z=Z, S_tilde=sp.csr_matrix(np.eye(1)),
-                          params_used=ModelParams(h=1))
+        ops = OperatorSet(x=x, Y=Y, Z=Z, S_tilde=sp.csr_matrix(np.eye(1)))
         u = np.array([[0.5], [1.5]])
         np.testing.assert_allclose(matrix_step(u, ops), x[:, None] + (Y + Z) @ u)
 
@@ -172,8 +170,7 @@ class TestConvergenceMargin:
 
     def test_contracting_operators_are_satisfied(self):
         ops = OperatorSet(x=np.zeros(2), Y=0.5 * np.eye(2), Z=0.25 * np.eye(2),
-                          S_tilde=sp.csr_matrix(np.eye(2)),
-                          params_used=ModelParams(h=1))
+                          S_tilde=sp.csr_matrix(np.eye(2)))
         report = convergence_margin(ModelParams(epsilon=0.0, h=1), ops)
         assert report.degenerate
         assert report.consensus_radius == pytest.approx(0.75)
@@ -183,14 +180,12 @@ class TestConvergenceMargin:
 class TestInfinityNormBound:
     def test_identity_only(self):
         ops = OperatorSet(x=np.zeros(2), Y=np.eye(2), Z=np.zeros((2, 2)),
-                          S_tilde=sp.csr_matrix(np.eye(1)),
-                          params_used=ModelParams(h=1))
+                          S_tilde=sp.csr_matrix(np.eye(1)))
         assert infinity_norm_bound(ops) == 1.0
 
     def test_diagonal_rows(self):
         ops = OperatorSet(x=np.zeros(2), Y=np.diag([1.15, 1.05]),
-                          Z=np.zeros((2, 2)), S_tilde=sp.csr_matrix(np.eye(1)),
-                          params_used=ModelParams(h=1))
+                          Z=np.zeros((2, 2)), S_tilde=sp.csr_matrix(np.eye(1)))
         assert infinity_norm_bound(ops) == pytest.approx(1.15)
 
     def test_growth_bound_never_exceeds_analytic_cap(self):
@@ -222,14 +217,12 @@ class TestInfinityNormBound:
 class TestFixedPoint:
     def test_homogeneous_system_zero(self):
         ops = OperatorSet(x=np.zeros(2), Y=0.4 * np.eye(2),
-                          Z=0.1 * np.eye(2), S_tilde=sp.csr_matrix(np.eye(2)),
-                          params_used=ModelParams(h=1))
+                          Z=0.1 * np.eye(2), S_tilde=sp.csr_matrix(np.eye(2)))
         np.testing.assert_allclose(fixed_point(ops), 0.0, atol=1e-12)
 
     def test_scalar_solve(self):
         ops = OperatorSet(x=np.array([1.0]), Y=np.array([[0.5]]),
-                          Z=np.array([[0.25]]), S_tilde=sp.csr_matrix(np.eye(1)),
-                          params_used=ModelParams(h=1))
+                          Z=np.array([[0.25]]), S_tilde=sp.csr_matrix(np.eye(1)))
         np.testing.assert_allclose(fixed_point(ops), [[4.0]], atol=1e-10)
 
     def test_iteration_converges_for_contracting_operators(self):
@@ -241,7 +234,7 @@ class TestFixedPoint:
         Z = 0.05 * rng.standard_normal((c, c))
         S = sp.csr_matrix(np.full((n, n), 1.0 / n))
         ops = OperatorSet(x=rng.standard_normal(c), Y=Y, Z=Z,
-                          S_tilde=S, params_used=ModelParams(h=1))
+                          S_tilde=S)
         bound = infinity_norm_bound(ops)
         assert bound < 1
         star = fixed_point(ops)
@@ -314,8 +307,7 @@ class TestFixedPoint:
     def test_singular_system_detected(self):
         """lambda = 1: Y = I and Z = 0 make the consensus block I - Y - Z zero."""
         ops = OperatorSet(x=np.array([1.0]), Y=np.array([[1.0]]),
-                          Z=np.zeros((1, 1)), S_tilde=sp.csr_matrix(np.eye(1)),
-                          params_used=ModelParams(h=1))
+                          Z=np.zeros((1, 1)), S_tilde=sp.csr_matrix(np.eye(1)))
         with pytest.raises(SingularSystem):
             fixed_point(ops)
 
@@ -337,8 +329,7 @@ class TestFixedPoint:
         raises through the sparse condition estimate."""
         ops = OperatorSet(x=np.array([1.0]), Y=np.array([[y]]),
                           Z=np.array([[z]]),
-                          S_tilde=build_social_graph(edges, n).influence_matrix,
-                          params_used=ModelParams(h=1))
+                          S_tilde=build_social_graph(edges, n).influence_matrix)
         assert kronecker_fixed_point(ops)[1] >= oracle_cond
         with pytest.raises(SingularSystem):
             fixed_point(ops)
