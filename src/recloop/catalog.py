@@ -10,6 +10,7 @@ interaction history or random init) and evolve unnormalized afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -34,7 +35,8 @@ class ItemCatalog:
     Every other item fact is read from it: ``c`` and ``m`` are its shape,
     ``category_mass[o]`` is the summed o-th coordinate over all item vectors
     (for an all-single-category catalog, the integer item count of category
-    o), and ``category_sets`` is its nonzero pattern. Immutable after
+    o), ``category_sets`` is its nonzero pattern, and ``groups`` its equal
+    columns, derived on first use and then kept. Immutable after
     construction and safe to share across workers.
     """
 
@@ -87,6 +89,48 @@ class ItemCatalog:
 
     def all_single_category(self) -> bool:
         return bool((np.count_nonzero(self.item_vectors, axis=0) == 1).all())
+
+    @cached_property
+    def groups(self) -> "ItemGroups":
+        """The items grouped by equal vector (equal category set), derived
+        from the matrix on first use and kept with the catalog."""
+        return group_columns(self.item_vectors)
+
+
+@dataclass(frozen=True)
+class ItemGroups:
+    """The columns of a matrix grouped by equal value.
+
+    Group g holds ``sizes[g]`` columns with the vector ``vectors[:, g]``:
+    the columns ``members[starts[g]:starts[g] + sizes[g]]``, in id order.
+    The largest group comes first, and groups of equal size are ordered by
+    their lowest id. ``index[j]`` is column j's group.
+    """
+
+    index: np.ndarray          # (m,)
+    vectors: np.ndarray        # (r, D)
+    sizes: np.ndarray          # (D,), non-increasing
+    members: np.ndarray        # (m,)
+    starts: np.ndarray         # (D,)
+
+
+def group_columns(matrix: np.ndarray) -> ItemGroups:
+    """Group the m columns of an (r, m) matrix by equal value."""
+    m = matrix.shape[1]
+    order = np.lexsort(matrix[::-1])       # lexicographic, equal columns by id
+    ordered = matrix[:, order]
+    new = np.ones(m, dtype=bool)
+    new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=m)
+    rank = np.lexsort((order[starts], -sizes))
+    sizes = sizes[rank]
+    new_starts = np.cumsum(sizes) - sizes
+    members = order[np.repeat(starts[rank] - new_starts, sizes) + np.arange(m)]
+    index = np.empty(m, dtype=np.int64)
+    index[members] = np.repeat(np.arange(sizes.size), sizes)
+    return ItemGroups(index=index, vectors=matrix[:, members[new_starts]],
+                      sizes=sizes, members=members, starts=new_starts)
 
 
 def init_user_random(seed, c: int) -> np.ndarray:

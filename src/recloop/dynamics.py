@@ -1,31 +1,42 @@
 """One interaction round per user: recommend, collect biased feedback, update.
 
 Each operation of the loop has one batched implementation here: the social
-blend (``_social_matrix``), the softmax over the catalog (``_softmax``), the
-sampling race (``sample_without_replacement``), the feedback law
-(``_feedback_pair``) and the stacked update inside ``simulate_step``. A
-step's draws are logged as arrays over users in ``StepLog``.
+blend (``_social_matrix``), the sampling race (``sample_without_replacement``),
+the feedback law (``_feedback_pair``) and the stacked update inside
+``simulate_step``. A step's draws are logged as arrays over users in
+``StepLog``.
 
 The engine is synchronous: every slate and every feedback draw in a step is
 computed against the state snapshot at the start of the step, and the updated
-matrix is written in a single pass afterwards. Users go through the softmax,
-the sampling race and the re-rank hook in blocks of about
-``BLOCK_ENTRIES // m`` users, never all n at once; the race runs once per
-block, over a (block, m) key matrix, and feedback and the update are array
-work over the whole step. A block's scores, softmaxed in place, and its race
-keys live in one flat scratch of 2 * m * block floats (about
-2 * ``BLOCK_ENTRIES``, 8 MB, unless m is so large that a block's two or
-three users exceed it), which ``run`` allocates once and every step reuses,
-so a step does not fault fresh pages in for them. Randomness is
-counter-split per (step, user): each user draws from the PCG64 stream of
-``SeedSequence((master, t, i))``, and ``StreamSplitter.block_streams``
-hashes the seeds of a whole block at once, bit for bit. Each user's stream
-is drawn in the same order whatever the block (the race's exponentials,
-the pad choice of a padded slate, then the feedback uniforms), so every
-draw is independent of the blocking. Floating-point results need not be:
-on a multi-category catalog a matrix product can round a row differently
-in blocks of another shape, so outputs are a pure function of (config,
-seeds) at the fixed ``BLOCK_ENTRIES`` and ``metrics.GRAM_ENTRIES``.
+matrix is written in a single pass afterwards. Items with one category set
+share one vector, so the recommendation softmax is a law over the catalog's
+D groups of equal items (``ItemCatalog.groups``), largest group first: a
+user scores the D group vectors, and the race draws each slate item's group
+and then the item, uniformly within its group. Users go through the scores,
+the race and the re-rank hook in blocks of about ``BLOCK_ENTRIES // width``
+users, where ``width`` is the numbers one user's row draws plus its pool
+size; feedback and the update are array work over the whole step.
+
+Randomness is counter-split per (step, user): each user draws from the
+PCG64 stream of ``SeedSequence((master, t, i))``, and
+``StreamSplitter.block_streams`` hashes the seeds of a whole block at once,
+bit for bit. Each step, user i fills one row of its stream in one call. For
+a pool of K items (h, or the hooks' ``candidate_count``) drawn from groups
+of k_g items, the row holds
+
+- S = sum_g min(K, k_g) slot uniforms, one per (group, order) slot, order
+  by order and then by group (see ``sample_without_replacement``);
+- K within-group uniforms, one per pick of the pool, in pick order;
+- the h feedback uniforms, one per slate position.
+
+A pool of the whole catalog (``candidate_count`` >= m) is the catalog in id
+order, and its row holds the h feedback uniforms alone. So every draw is
+independent of the blocking and of the hooks, which draw nothing, and a
+T-step run is a prefix of a longer one. Floating-point results need not be
+independent of the blocking: on a multi-category catalog a matrix product
+can round a row differently in blocks of another shape, so outputs are a
+pure function of (config, seeds) at the fixed ``BLOCK_ENTRIES`` and
+``metrics.GRAM_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -36,12 +47,13 @@ from typing import Callable, Iterable
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .catalog import ItemCatalog, ModelParams, SocialGraph, UserStates, row_blocks
+from .catalog import (ItemCatalog, ItemGroups, ModelParams, SocialGraph, UserStates,
+                      group_columns, row_blocks)
 from .errors import InvalidRequest, NumericalError
 from .metrics import MetricSettings, MetricsRecord, compute_metrics_record
 
 FEEDBACK_DOT_CLAMP = 1.0 - 1e-9
-BLOCK_ENTRIES = 1 << 19     # entries of one (m, block) array in simulate_step
+BLOCK_ENTRIES = 1 << 19     # entries of one (block, width) array in simulate_step
 
 
 class StreamSplitter:
@@ -52,6 +64,8 @@ class StreamSplitter:
     parallelized without changing a single draw. ``block_streams`` builds
     the same generators for a block of users, hashing the block's seeds in
     one pass of uint32 array arithmetic instead of one ``SeedSequence`` each.
+    ``simulate_step`` draws one row of uniforms from each stream (the row
+    layout is in the module docstring).
     """
 
     def __init__(self, master_seed: int):
@@ -137,66 +151,91 @@ def _seed_state(entropy: list[np.ndarray]) -> np.ndarray:
     return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax over axis 0: of a vector, or of each column of a matrix.
+def sample_without_replacement(p: np.ndarray, h: int, draws,
+                               groups: ItemGroups | None = None) -> np.ndarray:
+    """Draw h distinct items with sequential draw-and-renormalize semantics.
 
-    Works in place: ``scores`` (float64) is overwritten by the probabilities
-    and returned. Non-finite scores raise before anything is written.
+    The race runs over groups of items that share one weight (Efraimidis and
+    Spirakis 2006): group g of k_g items and weight w_g has the order
+    statistics of k_g keys E / w_g, so by Renyi's representation (1953) its
+    j-th smallest key is sum_{i <= j} E_{g,i} / ((k_g - i) w_g), one
+    exponential E per (group, order) slot. Each group has min(h, k_g) slots,
+    S in all. The h smallest keys win, which is drawing one item at a time
+    and renormalizing the remainder. A group of weight 0 races with weight
+    1, after every key of positive weight, so a row with fewer than h
+    items of positive weight is padded uniformly from the rest. Within a
+    group the items are uniform without replacement: a group's t-th pick
+    is the floor(U (k_g - t))-th of its items not yet picked, in id order.
+
+    ``p`` is one of two forms:
+
+    - (b, D) weights in [0, 1] of the D groups of ``groups`` (see
+      ``ItemGroups``), one row per user, and ``draws`` the (b, S + h) uniform
+      numbers of the rows. Row r's draws are laid out as S slot uniforms,
+      slot (g, j) at ``sum_{i < j} D_i + g`` where D_i counts the groups
+      with more than i items (order j first, then group), then h
+      within-group uniforms, one per pick in pick order. A slot's
+      exponential is ``-log1p(-U)``.
+    - (m,) item probabilities and ``draws`` a generator: the items of equal
+      probability form the groups, and the row's S + h uniforms are drawn
+      from the generator in one call.
+
+    Returns (b, h) item ids, each row in pick order, or (h,) for the 1-D form.
     """
-    if not np.isfinite(scores).all():
-        raise NumericalError("non-finite recommendation scores")
-    scores -= scores.max(axis=0, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=0, keepdims=True)
-    return scores
-
-
-def sample_without_replacement(p: np.ndarray, h: int, rng,
-                               keys: np.ndarray | None = None) -> np.ndarray:
-    """Draw h distinct indices with sequential draw-and-renormalize semantics.
-
-    Implemented as an exponential race (Efraimidis and Spirakis 2006): item j
-    gets key E_j / p_j and the h smallest keys win, which is distributionally
-    identical to drawing one item at a time and renormalizing the remainder.
-    If fewer than h items have positive probability, the shortfall is padded
-    uniformly from the zero-probability items (callers can detect this case
-    by counting positive entries).
-
-    A 2-D ``p`` holds one distribution per row and ``rng`` is then a sequence
-    of one generator per row. The race runs once over the whole (rows, m) key
-    matrix, but row r of the (rows, h) result, and the draws it takes from
-    ``rng[r]`` (m exponentials, then the pad choice of a padded row), are
-    those of the 1-D call on ``p[r]``, which is the one-row case. ``keys``,
-    if given, is a C-contiguous float64 array of p's shape that the race
-    overwrites with its keys instead of allocating them; it must not overlap
-    ``p``. The draws and the result do not depend on it.
-    """
-    p = np.asarray(p, dtype=float)
-    m = p.shape[-1]
-    if h > m:
-        raise InvalidRequest(f"cannot draw {h} distinct items from {m}")
-    if p.ndim == 1:
-        return sample_without_replacement(
-            p[None], h, [rng], None if keys is None else keys[None])[0]
-    keys = np.empty(p.shape) if keys is None else keys
-    for row, stream in zip(keys, rng):
-        stream.standard_exponential(out=row)
-    with np.errstate(divide="ignore", over="ignore"):   # inf keys: p 0 or tiny
-        keys /= p
-    idx = np.argpartition(keys, h - 1, axis=1)[:, :h]
-    out = np.take_along_axis(idx, np.argsort(np.take_along_axis(keys, idx, axis=1),
-                                             axis=1, kind="stable"), axis=1)
-    # A row with fewer than h positive items has drawn one that is not
-    # positive, so only such a row is counted.
-    for r in np.flatnonzero(~(np.take_along_axis(p, idx, axis=1) > 0).all(axis=1)):
-        positive = p[r] > 0
-        winners = np.flatnonzero(positive)
-        if winners.size < h:
-            winners = winners[np.argsort(keys[r, winners], kind="stable")]
-            pad = rng[r].choice(np.flatnonzero(~positive), size=h - winners.size,
-                                replace=False)
-            out[r] = np.concatenate([winners, pad])
-    return out
+    one = groups is None
+    if one:
+        p = np.asarray(p, dtype=float)
+        if h > p.size:
+            raise InvalidRequest(f"cannot draw {h} distinct items from {p.size}")
+        groups = group_columns(p[None])
+        p = groups.vectors
+        draws = draws.random(int(np.minimum(groups.sizes, h).sum()) + h)[None]
+    sizes = groups.sizes
+    b, D = p.shape
+    # Slots of order j belong to groups 0 .. D_j - 1: the groups come largest first.
+    per_order = D - np.searchsorted(sizes[::-1], np.arange(min(h, sizes[0])),
+                                    side="right")
+    ends = np.cumsum(per_order)
+    S = int(ends[-1])
+    slot_group = np.arange(S) - np.repeat(ends - per_order, per_order)
+    slot_order = np.repeat(np.arange(per_order.size), per_order)
+    sums = np.negative(draws[:, :S])
+    np.log1p(sums, out=sums)                        # -E
+    sums /= sizes[slot_group] - slot_order
+    if S == per_order.size * D:                     # every group has every order
+        np.cumsum(sums.reshape(b, -1, D), axis=1, out=sums.reshape(b, -1, D))
+    else:                                           # the same sums, order by order
+        for j in range(1, per_order.size):
+            lo, d = ends[j - 1], per_order[j]
+            sums[:, lo:lo + d] += sums[:, lo - per_order[j - 1]:lo - per_order[j - 1] + d]
+    # 2**900 w / sum stays a normal number, so keys tie within a group only
+    # where the sums tie; one factor on every weight leaves the race alone.
+    weights = (p * 2.0 ** 900)[:, slot_group]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keys = weights / sums                       # -w / sum: ascending as the keys
+    zero = weights == 0
+    if zero.any():
+        keys[zero] = -sums[zero]                    # weight 1, after every w > 0
+    # The h smallest keys, ties by slot: a group's picks come in slot order.
+    picks = np.sort(np.argpartition(keys, h - 1, axis=1)[:, :h], axis=1)
+    picks = np.take_along_axis(picks, np.argsort(
+        np.take_along_axis(keys, picks, axis=1), axis=1, kind="stable"), axis=1)
+    group = slot_group[picks]                       # (b, h), in pick order
+    # A group's pick from slot j has at most j earlier picks of the group;
+    # it takes the floor(U (k - j))-th of the items they left, and reverse
+    # insertion turns that into its position among all the group's items.
+    # Positions are kept as member indices, members[starts[g] + position]:
+    # "same group and at or past pick t's position" is then one unsigned
+    # comparison of the difference.
+    first, size = groups.starts[group], sizes[group]
+    chosen = first + (draws[:, S:S + h] * (size - slot_order[picks])).astype(np.int64)
+    past = (first + size - chosen).view(np.uint64)  # span from pick t to its group's end
+    position = chosen.copy()
+    for t in range(h - 2, -1, -1):
+        later = position[:, t + 1:]
+        later += (later - chosen[:, t:t + 1]).view(np.uint64) < past[:, t:t + 1]
+    items = groups.members[position]
+    return items[0] if one else items
 
 
 def _feedback_pair(dots: np.ndarray, beta: float, epsilon: float,
@@ -237,11 +276,13 @@ class StrategyHooks:
     ``user_alphas`` gives the (n,) temperatures, alpha for every user here;
     ``social_matrix`` the (c, n) blended users that score the catalog;
     ``rerank`` is called once per user block, on the block's (c, b) user
-    vectors and (b, K) sampled pools, and must return (b, h) slates (here the
-    pool itself); ``update_weights`` once per step, on the (n, h) sign
-    matrix, and must return weights of that shape (here the signs). Hooks
-    draw no random numbers, keep no state between calls and are pure
-    functions of their arguments.
+    vectors and (b, K) pools, and must return (b, h) slates (here the pool
+    itself). A pool is in pick order, except a pool of the whole catalog
+    (``candidate_count`` >= m), which is the catalog in id order, drawn from
+    no race, in every row. ``update_weights`` is called once per step, on
+    the (n, h) sign matrix, and must return weights of that shape (here the
+    signs). Hooks draw no random numbers, keep no state between calls and
+    are pure functions of their arguments.
     """
 
     candidate_count: int | None = None
@@ -278,38 +319,40 @@ def _social_matrix(user_matrix: np.ndarray, graph: SocialGraph, gamma: float,
     return gamma * user_matrix + (1.0 - gamma) * neighbor_means
 
 
-def _block_scratch(n: int, m: int, scratch: np.ndarray | None = None) -> np.ndarray:
-    """``scratch`` if it holds the 2 * m * block floats of the largest user
-    block of ``simulate_step`` (its scores, then its race keys), else a new
-    flat float64 array of that size."""
-    size = 2 * m * max(hi - lo for lo, hi in row_blocks(n, BLOCK_ENTRIES, m))
-    if (scratch is None or scratch.size < size or scratch.dtype != np.float64
-            or not scratch.flags.c_contiguous):
-        return np.empty(size)
-    return scratch
+def _group_weights(social: np.ndarray, alphas: np.ndarray,
+                   vectors: np.ndarray) -> np.ndarray:
+    """(b, D) weights exp(L - max L) of the logits L = alpha_i G^T s_i of b
+    users' (c, b) blended vectors s over the (c, D) group vectors G: each
+    row is the recommendation softmax over the groups, up to its sum.
+    Non-finite scores raise NumericalError."""
+    logits = np.matmul(social.T, vectors)
+    logits *= alphas[:, None]
+    if not np.isfinite(logits).all():
+        raise NumericalError("non-finite recommendation scores")
+    logits -= logits.max(axis=1, keepdims=True)
+    return np.exp(logits, out=logits)
 
 
 def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
                   params: ModelParams, master_seed: int,
-                  hooks: StrategyHooks | None = None,
-                  scratch: np.ndarray | None = None) -> tuple[UserStates, StepLog]:
+                  hooks: StrategyHooks | None = None) -> tuple[UserStates, StepLog]:
     """Run one synchronous interaction round for every user.
 
     All slates and feedback are computed against U(t); U(t+1) is assembled
-    only after every user is processed. Each user consumes exactly one
-    (step, user) stream of ``StreamSplitter(master_seed)``, built with the
-    rest of its block by ``block_streams``: the race's exponentials, the pad
-    choice of a padded slate, then the h feedback uniforms. Each hook of
-    ``hooks`` (default: the unmitigated ``StrategyHooks``) is called once
-    per step, ``rerank`` once per user block. Returns U(t+1) and the step's
-    ``StepLog``.
+    only after every user is processed. Each hook of ``hooks`` (default: the
+    unmitigated ``StrategyHooks``) is called once per step, ``rerank`` once
+    per user block. Returns U(t+1) and the step's ``StepLog``.
 
-    Each block's (m, b) scores, softmaxed in place, and the race's (b, m)
-    keys are C-contiguous views of one flat float64 ``scratch``, which
-    ``run`` allocates once and passes to every step. Without one, or with
-    one too small for the blocks, the step allocates its own. Nothing the
-    step returns or hands a hook is a view of it, and its contents never
-    change a result.
+    Users score the catalog's groups of equal items (``ItemCatalog.groups``):
+    user i's logits are alpha_i G^T s_i over the D group vectors G, and its
+    group weights exp(logit - max logit). Each user draws one row of its
+    (step, user) stream of ``StreamSplitter(master_seed)``, built with the
+    rest of its block by ``block_streams``, in one call: the S + K uniforms
+    with which ``sample_without_replacement`` draws its pool of K items
+    (h, or the hooks' ``candidate_count``), then its h feedback uniforms. A
+    pool of the whole catalog (``candidate_count`` >= m) is the catalog in
+    id order and draws nothing, so such a row holds the h feedback uniforms
+    only.
     """
     splitter = StreamSplitter(master_seed)
     hooks = hooks or StrategyHooks()
@@ -322,29 +365,32 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     alphas = hooks.user_alphas(U, params)
     social = hooks.social_matrix(U, graph, params)
 
-    sample_size = h
+    pool = h
     if hooks.candidate_count is not None:
-        sample_size = min(int(hooks.candidate_count), m)
-        if sample_size < h:
+        pool = min(int(hooks.candidate_count), m)
+        if pool < h:
             raise InvalidRequest(
-                f"candidate pool {sample_size} smaller than list length {h}")
+                f"candidate pool {pool} smaller than list length {h}")
+    groups = catalog.groups
+    whole = hooks.candidate_count is not None and pool == m
+    race = 0 if whole else int(np.minimum(groups.sizes, pool).sum()) + pool
 
     slate_items = np.empty((n, h), dtype=np.int64)
     uniforms = np.empty((n, h))
     padded = np.empty(n, dtype=bool)
 
-    scratch = _block_scratch(n, m, scratch)
-    for lo, hi in row_blocks(n, BLOCK_ENTRIES, m):
+    for lo, hi in row_blocks(n, BLOCK_ENTRIES, race + h + (m if whole else 0)):
         b = hi - lo
-        scores = np.matmul(V.T, social[:, lo:hi], out=scratch[:m * b].reshape(m, b))
-        scores *= alphas[None, lo:hi]
-        probs = _softmax(scores)                                # (m, block)
-        padded[lo:hi] = (probs > 0).sum(axis=0) < sample_size
-        streams = splitter.block_streams(states.t, lo, hi)
-        pools = sample_without_replacement(probs.T, sample_size, streams,
-                                           scratch[m * b:2 * m * b].reshape(b, m))
-        for stream, row in zip(streams, uniforms[lo:hi]):
+        weights = _group_weights(social[:, lo:hi], alphas[lo:hi], groups.vectors)
+        padded[lo:hi] = (weights > 0) @ groups.sizes < pool
+        draws = np.empty((b, race + h))
+        for stream, row in zip(splitter.block_streams(states.t, lo, hi), draws):
             stream.random(out=row)
+        uniforms[lo:hi] = draws[:, race:]
+        if whole:
+            pools = np.broadcast_to(np.arange(m), (b, m))
+        else:
+            pools = sample_without_replacement(weights, pool, draws, groups)
         items = np.asarray(hooks.rerank(U[:, lo:hi], pools, catalog, h),
                            dtype=np.int64)                  # draws nothing
         if items.shape != (b, h):
@@ -404,8 +450,7 @@ def run(initial_states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
 
     Metrics at step t are computed from U(t) together with the slates drawn
     at step t (before the update is applied), matching how the per-step
-    series are reported. One step scratch (see ``simulate_step``) is
-    allocated for the run and reused by every step.
+    series are reported.
     """
     if T < 1:
         raise InvalidRequest(f"need T >= 1, got {T}")
@@ -418,11 +463,10 @@ def run(initial_states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     records: list[MetricsRecord] = []
     logs: list[StepLog] | None = [] if keep_step_logs else None
     padded = 0
-    scratch = _block_scratch(states.n, catalog.m)
 
     for t in range(T):
         new_states, log = simulate_step(states, catalog, graph, params,
-                                        master_seed, hooks, scratch=scratch)
+                                        master_seed, hooks)
         padded += int(log.padded.sum())
         if t in schedule:
             records.append(compute_metrics_record(

@@ -225,14 +225,14 @@ def ingest_interactions(interactions_path, items_path) -> IngestResult:
     Internal indices follow first-seen order.
     """
     item_index: dict[str, int] = {}
-    category_sets: list[tuple[int, ...]] = []
+    category_sets: list[list[int]] = []       # as listed: the build ignores order
     max_cat = -1
     for linenos, (ids, cats_fields) in _read_blocks(items_path, 2):
         for lineno, item_id, cats_field in zip(linenos.tolist(), ids, cats_fields):
             if item_id in item_index:
                 raise ParseError(f"duplicate item id {item_id!r}", line=lineno)
             try:
-                cats = tuple(sorted({int(tok) for tok in cats_field.split(";") if tok}))
+                cats = [int(tok) for tok in cats_field.split(";") if tok]
             except ValueError as exc:
                 raise ParseError(f"bad category list {cats_field!r}",
                                  line=lineno) from exc
@@ -242,7 +242,7 @@ def ingest_interactions(interactions_path, items_path) -> IngestResult:
                 raise ParseError(f"negative category in {cats_field!r}", line=lineno)
             item_index[item_id] = len(item_index)
             category_sets.append(cats)
-            max_cat = max(max_cat, cats[-1])
+            max_cat = max(max_cat, *cats)
     if not item_index:
         raise ParseError(f"no items found in {items_path}")
     catalog = ItemCatalog.from_category_sets(category_sets, max_cat + 1)

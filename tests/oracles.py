@@ -177,23 +177,48 @@ def ts_at_k_blocks(users: np.ndarray, k: int, entries: int = 1 << 22) -> float:
     return float(per_user.mean())
 
 
-def race(p: np.ndarray, h: int, rng: np.random.Generator) -> np.ndarray:
-    """The exponential race for one distribution: m exponentials from
-    ``rng``, the h smallest keys E_j / p_j in key order, and a uniform pad
-    choice from ``rng`` when fewer than h entries are positive."""
-    keys = rng.exponential(size=p.size)
-    with np.errstate(divide="ignore"):
-        keys = keys / p
-    positive = p > 0
-    n_pos = int(positive.sum())
-    if n_pos >= h:
-        idx = np.argpartition(keys, h - 1)[:h]
-        return idx[np.argsort(keys[idx], kind="stable")]
-    winners = np.flatnonzero(positive)
-    winners = winners[np.argsort(keys[winners], kind="stable")]
-    zeros = np.flatnonzero(~positive)
-    pad = rng.choice(zeros, size=h - n_pos, replace=False)
-    return np.concatenate([winners, pad])
+def race(p: np.ndarray, h: int, row: np.ndarray, labels=None) -> np.ndarray:
+    """The group race for one distribution, one slot and one pick at a time.
+
+    The items of one label (default: of one probability) form a group, of
+    weight the probability of its items. Groups come largest first, equal
+    sizes by lowest item; slot (g, j), j < min(h, k_g), is numbered by j
+    and then g. ``row`` holds the S slot uniforms, then one uniform per
+    pick. Slot (g, j)'s key is sum_{i <= j} E_i / ((k_g - i) w_g) with
+    E = -log1p(-U); a group of weight 0 ranks after every positive key, by
+    its sums alone. The h smallest keys win, ties by slot, and the pick from
+    slot (g, j) is the floor(U (k_g - j))-th of g's items still unpicked, in
+    id order. Returns the h items in pick order."""
+    p = np.asarray(p, dtype=float)
+    labels = p.tolist() if labels is None else list(labels)
+    members: dict = {}
+    for item, label in enumerate(labels):
+        members.setdefault(label, []).append(item)
+    groups = sorted(members.values(), key=lambda ids: (-len(ids), ids[0]))
+    depth = [min(h, len(ids)) for ids in groups]
+    slots = [(g, j) for j in range(max(depth)) for g in range(len(groups))
+             if j < depth[g]]
+    minus_e = np.log1p(-np.asarray(row[:len(slots)]))
+    sums = {}
+    for s, (g, j) in enumerate(slots):
+        step = minus_e[s] / (len(groups[g]) - j)
+        sums[g, j] = step if j == 0 else sums[g, j - 1] + step
+
+    def rank(s):
+        g, j = slots[s]
+        w = p[groups[g][0]]
+        if w == 0:
+            return (1, -sums[g, j], s)
+        with np.errstate(divide="ignore"):
+            return (0, (w * 2.0 ** 900) / sums[g, j], s)
+
+    winners = sorted(range(len(slots)), key=rank)[:h]
+    unpicked = [list(ids) for ids in groups]
+    out = []
+    for r, s in enumerate(winners):
+        g, j = slots[s]
+        out.append(unpicked[g].pop(int(row[len(slots) + r] * (len(groups[g]) - j))))
+    return np.array(out, dtype=np.int64)
 
 
 def vec(U: np.ndarray) -> np.ndarray:

@@ -13,10 +13,18 @@ Three clauses assert what the method does promise, not stronger claims:
  * C3 bounds the number of items outside 3 binomial standard deviations
    from both sides: an exactly uniform sampler leaves ~27 of 10^4 there,
    so the count must lie in the central 0.998 band of its binomial law.
+ * C7 ranks the steps where RCE still moves: the seed-averaged RCE falls
+   below 1% of its start within the first hundred steps and then sits on a
+   floor of about 0, where a rank correlation over the whole run would rank
+   noise. The window ends at the first step on that floor.
  * C8 ranks the diversity re-rank's entropy gain first among the
    strategies that keep every user's temperature at alpha0. The adaptive
    temperature rule at sigma=10 gives nearly all users alpha_i < 0.01
    alpha0, so it is left out of the ranking only while that collapse holds.
+
+The worlds, seeds, parameters and bounds of C7 and C8 are module constants,
+and their statistics are module functions, so that
+``scripts/acceptance_power.py`` reruns them with other master seeds.
 """
 
 import time
@@ -53,17 +61,94 @@ DESK = dict(n=100, m=1000, c=10, link_count=1000)
 DESK_SEEDS = tuple(range(1, 11))
 DESK_T = 300
 
+C7_RHO = 0.9                  # |Spearman rho| of RCE and RA against the step
+C7_FLOOR_SHARE = 0.01         # RCE below this share of its start is its floor
+C7_MIN_WINDOW = 30            # steps the ranked window must hold
+C7_ALPHAS = (1.0, 20.0)       # less and more personalization
+C7_DROP_STEP = 199            # the T=200 spot check
+C8_STRATEGIES = {
+    "ua_alpha": MitigationConfig(strategy="ua_alpha", sigma=10.0),
+    "fua": MitigationConfig(strategy="fua", rho=0.02),
+    "dpp": MitigationConfig(strategy="dpp", theta=0.501, candidate_count=1000),
+    "sar": MitigationConfig(strategy="sar", omega=10.0,
+                            sar_strict_denominator=True),
+}
+C8_P = 0.05                   # paired t-test level of each strategy's gain
+C8_RANKED = ("fua", "dpp", "sar")
+C8_COLLAPSE = 0.8             # share of users ua_alpha must push below 0.01 alpha0
+
 
 def report(name, ok, detail=""):
     print(f"\n[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
 
 
-def desk_run(seed, params=None, hooks=None):
+def desk_run(seed, params=None, hooks=None, seed_offset=0):
+    """(T, 2) RCE and RA of the desk world of ``seed``, drawn with master
+    seed ``seed + seed_offset``."""
     params = params or ModelParams()
     catalog, states, graph = generate_synthetic(seed=seed, **DESK)
     traj = rl.run(states, catalog, graph, params, DESK_T, hooks=hooks,
-                  master_seed=seed, settings=MetricSettings(ts_k=50))
+                  master_seed=seed + seed_offset, settings=MetricSettings(ts_k=50))
     return np.array([[rec.rce, rec.ra] for rec in traj.records])
+
+
+def strategy_run(name, seed, seed_offset=0):
+    params = ModelParams()
+    return desk_run(seed, params, build_hooks(C8_STRATEGIES[name], params),
+                    seed_offset)
+
+
+def c7_statistics(avg, final_by_alpha):
+    """C7's statistics from the seed-averaged (T, 2) RCE and RA series and
+    the seed-averaged final RCE at each of ``C7_ALPHAS``.
+
+    The rank correlations run over the steps before ``t_floor``, the first
+    step whose RCE is below ``C7_FLOOR_SHARE`` of its step-0 value (T if
+    none is). ``rho_*_full`` are the correlations over all T steps, which
+    C7 no longer asserts.
+    """
+    rce = avg[:, 0]
+    below = rce < C7_FLOOR_SHARE * rce[0]
+    t_floor = int(np.argmax(below)) if below.any() else rce.size
+
+    def rho(series):
+        return float(scipy.stats.spearmanr(np.arange(series.size), series).statistic)
+
+    low, high = (final_by_alpha[a] for a in C7_ALPHAS)
+    return dict(t_floor=t_floor, rho_rce=rho(rce[:t_floor]),
+                rho_ra=rho(avg[:t_floor, 1]), rho_rce_full=rho(rce),
+                rho_ra_full=rho(avg[:, 1]), final_low_alpha=low,
+                final_high_alpha=high, drop=(rce[C7_DROP_STEP], rce[0]))
+
+
+def c7_clauses(stats):
+    """Each C7 clause by name, True where it holds."""
+    return dict(window=stats["t_floor"] >= C7_MIN_WINDOW,
+                rce_falls=stats["rho_rce"] <= -C7_RHO,
+                ra_rises=stats["rho_ra"] >= C7_RHO,
+                personalization=stats["final_high_alpha"] < stats["final_low_alpha"],
+                drop=stats["drop"][0] < stats["drop"][1])
+
+
+def c8_statistics(baseline, strategies):
+    """Each strategy's mean gain in time-averaged RCE over the baseline and
+    the one-sided paired t-test's p-value, from (seeds, T, 2) series."""
+    base = baseline[:, :, 0].mean(axis=1)             # per-seed averages
+    gains, pvals = {}, {}
+    for name, series in strategies.items():
+        vals = series[:, :, 0].mean(axis=1)
+        gains[name] = float((vals - base).mean())
+        pvals[name] = float(scipy.stats.ttest_rel(
+            vals, base, alternative="greater").pvalue)
+    return gains, pvals
+
+
+def c8_clauses(gains, pvals):
+    """Each C8 clause that depends on the draws, True where it holds."""
+    clauses = {f"{name}_above": gains[name] > 0 and pvals[name] < C8_P
+               for name in gains}
+    clauses["dpp_largest"] = max(C8_RANKED, key=gains.get) == "dpp"
+    return clauses
 
 
 @pytest.fixture(scope="module")
@@ -73,20 +158,8 @@ def baseline_series():
 
 @pytest.fixture(scope="module")
 def strategy_series():
-    params = ModelParams()
-    configs = {
-        "ua_alpha": MitigationConfig(strategy="ua_alpha", sigma=10.0),
-        "fua": MitigationConfig(strategy="fua", rho=0.02),
-        "dpp": MitigationConfig(strategy="dpp", theta=0.501,
-                                candidate_count=1000),
-        "sar": MitigationConfig(strategy="sar", omega=10.0,
-                                sar_strict_denominator=True),
-    }
-    out = {}
-    for name, cfg in configs.items():
-        out[name] = np.array([
-            desk_run(s, params, build_hooks(cfg, params)) for s in DESK_SEEDS])
-    return out
+    return {name: np.array([strategy_run(name, s) for s in DESK_SEEDS])
+            for name in C8_STRATEGIES}
 
 
 def test_c1_equivalence_characterization():
@@ -301,29 +374,32 @@ def test_c6_homogenization_monotonicity():
 
 
 def test_c7_echo_chamber_trend(baseline_series):
-    """C7: seed-averaged RCE falls and RA rises; more personalization ends lower."""
+    """C7: seed-averaged RCE falls and RA rises; more personalization ends lower.
+
+    RCE and RA are ranked against the step over the steps before RCE reaches
+    its floor (below 1% of its start), which must hold at least 30 steps.
+    """
     start = time.perf_counter()
     avg = baseline_series.mean(axis=0)           # (T, 2)
-    t = np.arange(DESK_T)
-    rho_rce = float(scipy.stats.spearmanr(t, avg[:, 0]).statistic)
-    rho_ra = float(scipy.stats.spearmanr(t, avg[:, 1]).statistic)
-    final_alpha1 = np.mean([
-        desk_run(s, ModelParams(alpha=1.0))[-1, 0] for s in DESK_SEEDS])
-    final_alpha20 = np.mean([
-        desk_run(s, ModelParams(alpha=20.0))[-1, 0] for s in DESK_SEEDS])
+    finals = {a: np.mean([desk_run(s, ModelParams(alpha=a))[-1, 0]
+                          for s in DESK_SEEDS]) for a in C7_ALPHAS}
+    stats = c7_statistics(avg, finals)
+    clauses = c7_clauses(stats)
     elapsed = time.perf_counter() - start
-    drop_ok = avg[199, 0] < avg[0, 0]            # the T=200 spot check
-    ok = (rho_rce <= -0.9 and rho_ra >= 0.9
-          and final_alpha20 < final_alpha1 and drop_ok)
-    report("C7 echo-chamber trend", ok,
-           f"spearman rce {rho_rce:.4f} (need <= -0.9), ra {rho_ra:.4f} "
-           f"(need >= 0.9); final rce alpha20 {final_alpha20:.4f} < alpha1 "
-           f"{final_alpha1:.4f}; rce[199] {avg[199, 0]:.3f} < rce[0] "
-           f"{avg[0, 0]:.3f} ({elapsed:.0f}s + shared baseline)")
-    assert rho_rce <= -0.9
-    assert rho_ra >= 0.9
-    assert final_alpha20 < final_alpha1
-    assert drop_ok
+    report("C7 echo-chamber trend", all(clauses.values()),
+           f"over steps 0..{stats['t_floor'] - 1} (RCE floor at step "
+           f"{stats['t_floor']}, need >= {C7_MIN_WINDOW}): spearman rce "
+           f"{stats['rho_rce']:.4f} (need <= -{C7_RHO}), ra {stats['rho_ra']:.4f} "
+           f"(need >= {C7_RHO}); over all {DESK_T} steps rce "
+           f"{stats['rho_rce_full']:.4f}, ra {stats['rho_ra_full']:.4f}; final rce "
+           f"alpha20 {stats['final_high_alpha']:.4f} < alpha1 "
+           f"{stats['final_low_alpha']:.4f}; rce[199] {stats['drop'][0]:.3f} < "
+           f"rce[0] {stats['drop'][1]:.3f} ({elapsed:.0f}s + shared baseline)")
+    assert clauses["window"], stats
+    assert clauses["rce_falls"], stats
+    assert clauses["ra_rises"], stats
+    assert clauses["personalization"], stats
+    assert clauses["drop"], stats
 
 
 def test_c8_mitigation_direction(baseline_series, strategy_series):
@@ -334,29 +410,22 @@ def test_c8_mitigation_direction(baseline_series, strategy_series):
     at sigma=10 the adaptive rule hands almost the whole budget to a few
     low-dispersion users, switching personalization off for the rest.
     """
-    base = baseline_series[:, :, 0].mean(axis=1)          # per-seed averages
-    gains, pvals = {}, {}
-    for name, series in strategy_series.items():
-        vals = series[:, :, 0].mean(axis=1)
-        gains[name] = float((vals - base).mean())
-        pvals[name] = float(scipy.stats.ttest_rel(
-            vals, base, alternative="greater").pvalue)
-    above = {name: gains[name] > 0 and pvals[name] < 0.05
-             for name in gains}
+    gains, pvals = c8_statistics(baseline_series, strategy_series)
+    clauses = c8_clauses(gains, pvals)
+    above = {name: clauses[f"{name}_above"] for name in gains}
     alpha0 = ModelParams().alpha
     collapsed = []                  # share of users with alpha_i < 0.01 alpha0
     for s in DESK_SEEDS:
         _, states, _ = generate_synthetic(seed=s, **DESK)
         alphas = adaptive_alpha(dispersions(states.user_matrix), 10.0, alpha0)
         collapsed.append(float((alphas < 0.01 * alpha0).mean()))
-    collapse_ok = min(collapsed) >= 0.8
-    ranked = ("fua", "dpp", "sar")
-    largest = max(ranked, key=gains.get)
+    collapse_ok = min(collapsed) >= C8_COLLAPSE
+    largest = max(C8_RANKED, key=gains.get)
     detail = ", ".join(f"{name} +{gains[name]:.4f} (p={pvals[name]:.4f})"
-                       for name in ("ua_alpha", "fua", "dpp", "sar"))
-    ok = all(above.values()) and collapse_ok and largest == "dpp"
+                       for name in C8_STRATEGIES)
+    ok = all(clauses.values()) and collapse_ok
     report("C8 mitigation direction", ok,
-           f"{detail}; largest gain among {'/'.join(ranked)}: {largest}; "
+           f"{detail}; largest gain among {'/'.join(C8_RANKED)}: {largest}; "
            f"ua_alpha users below 0.01 alpha0 at step 0: "
            f"{min(collapsed):.0%}-{max(collapsed):.0%} across seeds")
     assert all(above.values()), f"strategies not all above baseline: {above}"
@@ -365,8 +434,8 @@ def test_c8_mitigation_direction(baseline_series, strategy_series):
         "budget on a few low-dispersion users (share with alpha_i < 0.01 "
         f"alpha0 per seed: {collapsed}); rank ua_alpha with the other "
         "strategies again")
-    assert largest == "dpp", (
-        f"largest RCE gain among {ranked} came from {largest!r}, not the "
+    assert clauses["dpp_largest"], (
+        f"largest RCE gain among {C8_RANKED} came from {largest!r}, not the "
         f"diversity re-rank: {detail}")
 
 

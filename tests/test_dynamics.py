@@ -19,7 +19,13 @@ from recloop import (
     sample_without_replacement,
     simulate_step,
 )
-from recloop.dynamics import StrategyHooks, _feedback_pair, _social_matrix, _softmax
+from recloop.catalog import group_columns
+from recloop.dynamics import (
+    StrategyHooks,
+    _feedback_pair,
+    _group_weights,
+    _social_matrix,
+)
 from recloop.errors import InvalidRequest, NumericalError, RecloopError
 from recloop.mitigation import DiversityRerankHooks, MitigationConfig, build_hooks
 
@@ -72,9 +78,27 @@ class TestSocialRepresentation:
 
 
 def softmax_slate(s, catalog, alpha):
-    """The engine's recommendation distribution for one blended vector s."""
+    """The engine's recommendation distribution over the items for one
+    blended vector s: its group weights, spread over each group's items."""
+    groups = catalog.groups
     with np.errstate(invalid="ignore"):
-        return _softmax(alpha * (catalog.item_vectors.T @ np.asarray(s, dtype=float)))
+        w = _group_weights(np.asarray(s, dtype=float)[:, None], np.array([alpha]),
+                           groups.vectors)[0]
+    return w[groups.index] / (w @ groups.sizes)
+
+
+def row_width(catalog, h, pool=None):
+    """What ``simulate_step`` blocks users by: the numbers one user's row
+    draws (slots, within-group uniforms, feedback) plus its pool."""
+    pool = pool or h
+    return int(np.minimum(catalog.groups.sizes, pool).sum()) + pool + h
+
+
+def group_draws(p, h, seed):
+    """The 1-D form's groups, weights and the uniforms its generator gives."""
+    groups = group_columns(np.asarray(p, dtype=float)[None])
+    S = int(np.minimum(groups.sizes, h).sum())
+    return groups, groups.vectors, np.random.default_rng(seed).random((1, S + h))
 
 
 class TestRecommendationDistribution:
@@ -149,84 +173,71 @@ class TestSampleWithoutReplacement:
         np.testing.assert_array_equal(a, b)
 
     def test_rows_match_one_dimensional_calls(self):
-        """Each row of a 2-D call draws what a 1-D call with a twin generator
-        draws, padded rows (fewer than h positive entries) included."""
+        """Each row of a 2-D call draws what a one-row call on that row draws,
+        padded rows included; the 1-D form is the one-row call on its groups
+        of equal probability, with its generator's next S + h uniforms."""
         rng = np.random.default_rng(11)
-        p = rng.dirichlet(np.ones(30), size=6)
-        p[1, 3:] = 0.0                       # 3 positive entries < h: padded
-        p[4, :] = 0.0
-        p[4, 7] = 1.0                        # point mass: padded
-        p[1] /= p[1].sum()
-        for block in (p, p[4:5]):
-            for h in (1, 5, 30):
-                rows = sample_without_replacement(
-                    block, h, [np.random.default_rng(s) for s in range(len(block))])
-                assert rows.shape == (len(block), h)
-                for r, row in enumerate(block):
-                    twin = np.random.default_rng(r)
-                    np.testing.assert_array_equal(
-                        rows[r], sample_without_replacement(row, h, twin))
+        labels = rng.integers(0, 7, size=30)
+        groups = group_columns(labels[None].astype(float))
+        w = rng.random((6, groups.sizes.size))
+        w[1, 2:] = 0.0                        # few positive items: padded
+        w[4] = 0.0
+        w[4, 3] = 1.0
+        for h in (1, 5, 30):
+            S = int(np.minimum(groups.sizes, h).sum())
+            draws = rng.random((6, S + h))
+            rows = sample_without_replacement(w, h, draws, groups)
+            assert rows.shape == (6, h)
+            for r in range(6):
+                np.testing.assert_array_equal(rows[r], sample_without_replacement(
+                    w[r:r + 1], h, draws[r:r + 1], groups)[0])
+        p = np.repeat(rng.dirichlet(np.ones(5)), 6)
+        p[:6] = 0.0
+        for h in (1, 8, 30):
+            groups, w, draws = group_draws(p, h, 3)
+            np.testing.assert_array_equal(
+                sample_without_replacement(p, h, np.random.default_rng(3)),
+                sample_without_replacement(w, h, draws, groups)[0])
 
     @settings(max_examples=150, deadline=None)
     @given(rows=st.integers(1, 6), m=st.integers(1, 40), data=st.data(),
-           seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 1.0))
-    def test_batched_race_matches_oracle(self, rows, m, data, seed, zeros):
-        """Row by row the oracle's race, padded rows, h = m and one-row blocks
-        included, and each stream is left where the oracle leaves it."""
+           seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 1.0),
+           kinds=st.integers(1, 40))
+    def test_batched_race_matches_oracle(self, rows, m, data, seed, zeros, kinds):
+        """Row by row the one-user oracle's race over the same groups, padded
+        rows, h = m, groups of one item and one-row blocks included."""
         h = data.draw(st.one_of(st.just(m), st.integers(1, m)))
         rng = np.random.default_rng(seed)
-        p = rng.random((rows, m)) ** 3
-        p[rng.random((rows, m)) < zeros] = 0.0
-        p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
-        streams = [np.random.default_rng([seed, r]) for r in range(rows)]
-        got = sample_without_replacement(p, h, streams)
+        labels = rng.integers(0, kinds, size=m)
+        groups = group_columns(labels[None].astype(float))
+        w = rng.random((rows, groups.sizes.size)) ** 3
+        w[rng.random(w.shape) < zeros] = 0.0
+        S = int(np.minimum(groups.sizes, h).sum())
+        draws = rng.random((rows, S + h))
+        got = sample_without_replacement(w, h, draws, groups)
         for r in range(rows):
-            twin = np.random.default_rng([seed, r])
-            np.testing.assert_array_equal(got[r], race(p[r], h, twin))
-            assert streams[r].random() == twin.random()
+            np.testing.assert_array_equal(
+                got[r], race(w[r, groups.index], h, draws[r], groups.index))
 
     def test_overflowing_keys_are_not_padding(self):
-        """Positive entries so small that their keys overflow to inf tie with
-        the zero-mass items, and the race can draw a zero-mass item. A row
-        that still has h positive entries draws no pad; a row with fewer
-        draws one. Each matches the oracle and leaves its stream where the
-        oracle leaves it."""
+        """Positive probabilities so small that E / p overflows still rank
+        before every zero-probability item: a row with h positive entries
+        draws no pad, and a row with fewer draws one. Each matches the
+        oracle."""
         p = np.zeros((4, 12))
-        p[0, 6:] = 5e-324                    # 6 positive >= h, all keys inf
+        p[0, 6:] = 5e-324                    # 6 positive >= h
         p[1, :6] = 5e-324                    # the same, positive items first
-        p[2, :2], p[2, 8:] = 0.5, 5e-324     # 6 positive >= h, 4 keys inf
+        p[2, :2], p[2, 8:] = 0.5, 5e-324     # 6 positive >= h
         p[3, :2] = 0.5                       # 2 positive < h: padded
-        streams = [np.random.default_rng([3, r]) for r in range(4)]
-        with np.errstate(over="ignore"):
-            got = sample_without_replacement(p, 4, streams)
-            for r in range(4):
-                twin = np.random.default_rng([3, r])
-                np.testing.assert_array_equal(got[r], race(p[r], 4, twin))
-                assert streams[r].random() == twin.random()
-
-    def test_key_buffer_changes_nothing(self):
-        """A given key buffer, whatever it holds, gives the draws, the result
-        and the stream positions of an allocated one, padded rows and the
-        1-D call included; the race leaves its keys in it."""
-        p = np.random.default_rng(12).dirichlet(np.ones(30), size=5)
-        p[2, 3:] = 0.0                       # 3 positive entries < h: padded
-        for block in (p, p[0]):
-            rows = np.atleast_2d(block)
-            fresh = [np.random.default_rng([4, r]) for r in range(len(rows))]
-            reused = [np.random.default_rng([4, r]) for r in range(len(rows))]
-            keys = np.full(block.shape, np.nan)
-            want = sample_without_replacement(block, 6, fresh if block.ndim == 2
-                                              else fresh[0])
-            got = sample_without_replacement(block, 6, reused if block.ndim == 2
-                                             else reused[0], keys)
-            np.testing.assert_array_equal(got, want)
-            assert [g.random() for g in reused] == [g.random() for g in fresh]
-            twins = [np.random.default_rng([4, r]) for r in range(len(rows))]
-            with np.errstate(divide="ignore"):
-                np.testing.assert_array_equal(
-                    np.atleast_2d(keys),
-                    [t.standard_exponential(rows.shape[1]) / row
-                     for t, row in zip(twins, rows)])
+        for r, row in enumerate(p):
+            got = sample_without_replacement(row, 4, np.random.default_rng([3, r]))
+            _, _, draws = group_draws(row, 4, [3, r])
+            np.testing.assert_array_equal(got, race(row, 4, draws[0]))
+            positive = np.flatnonzero(row > 0)
+            if positive.size >= 4:
+                assert set(got.tolist()) <= set(positive.tolist())
+            else:
+                assert set(got[:positive.size].tolist()) == set(positive.tolist())
 
     def test_inclusion_frequency_matches_expectation(self):
         """Empirical inclusion rates track h*p_j for a skewed distribution.
@@ -304,13 +315,13 @@ class TestFeedbackProbabilities:
 
 def one_user_step(u, category_sets, c, seed=0, **knobs):
     """One engine step of a single isolated user whose slate is the whole
-    catalog (h = m), returning (new u, signs)."""
+    catalog (h = m), in race order, returning (new u, signs by item id)."""
     catalog = ItemCatalog.from_category_sets(category_sets, c)
     params = ModelParams(h=catalog.m, **knobs)
     states = UserStates(np.array(u, dtype=float)[:, None], 0)
     new_states, log = simulate_step(states, catalog, build_social_graph(set(), 1),
                                     params, seed)
-    return new_states.user_matrix[:, 0], log.signs[0]
+    return new_states.user_matrix[:, 0], log.signs[0][np.argsort(log.slate_items[0])]
 
 
 class TestDrawFeedback:
@@ -393,20 +404,27 @@ def mixed_world(n, m, c, links, seed):
 
 
 def reference_step(states, catalog, graph, params, seed, hooks=None):
-    """The engine one user at a time: the reference the blocked step must
-    match bit for bit (whole-step softmax, 1-D race, per-user feedback)."""
+    """The engine one user at a time, from the documented row layout: the
+    reference the blocked step must match bit for bit. The groups come from
+    ``np.unique``, each user's race from the one-user oracle on its own
+    stream's row, and its feedback from the rest of the row."""
     splitter = StreamSplitter(seed)
     hooks = hooks or StrategyHooks()
     U = states.user_matrix
     V = catalog.item_vectors
     n, m, h = U.shape[1], catalog.m, params.h
+    _, first, labels, sizes = np.unique(V, axis=1, return_index=True,
+                                        return_inverse=True, return_counts=True)
+    rank = np.lexsort((first, -sizes))            # largest group first
+    labels = np.argsort(rank)[labels.reshape(-1)]
+    vectors = V[:, first[rank]]
     alphas = hooks.user_alphas(U, params)
     social = hooks.social_matrix(U, graph, params)
-    logits = (V.T @ social) * alphas[None, :]
-    e = np.exp(logits - logits.max(axis=0, keepdims=True))
-    probs = e / e.sum(axis=0, keepdims=True)
-    sample_size = h if hooks.candidate_count is None else \
-        min(int(hooks.candidate_count), m)
+    logits = (social.T @ vectors) * alphas[:, None]
+    weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+    pool = h if hooks.candidate_count is None else min(int(hooks.candidate_count), m)
+    whole = hooks.candidate_count is not None and pool == m
+    slots = int(np.minimum(sizes, pool).sum())
 
     new_U = np.empty_like(U)
     slate_items = np.empty((n, h), dtype=np.int64)
@@ -415,12 +433,18 @@ def reference_step(states, catalog, graph, params, seed, hooks=None):
     padded = np.empty(n, dtype=bool)
     for i in range(n):
         stream = splitter.user_stream(states.t, i)
-        padded[i] = int((probs[:, i] > 0).sum()) < sample_size
-        items = race(probs[:, i], sample_size, stream)
+        w = weights[i, labels]
+        padded[i] = int((w > 0).sum()) < pool
+        if whole:
+            items, feedback = np.arange(m), stream.random(h)
+        else:
+            row = stream.random(slots + pool + h)
+            items = race(w, pool, row[:slots + pool], labels)
+            feedback = row[slots + pool:]
         items = np.asarray(hooks.rerank(U[:, i], items, catalog, h), dtype=np.int64)
         pos, _ = _feedback_pair(V[:, items].T @ U[:, i], params.beta,
                                 params.epsilon)
-        s = np.where(stream.random(h) < pos, 1, -1).astype(np.int8)
+        s = np.where(feedback < pos, 1, -1).astype(np.int8)
         new_U[:, i] = U[:, i] + (params.eta / h) * (
             V[:, items] @ hooks.update_weights(s))
         slate_items[i], signs[i], p_pos[i] = items, s, pos
@@ -462,8 +486,9 @@ class TestBlockedStep:
             states, _ = simulate_step(states, catalog, graph, params, 8, hooks)
 
     def test_whole_catalog_pool_matches_reference(self):
-        """A candidate_count of m or more makes every pool the whole catalog,
-        which the re-rank reads in id order without gathering the pool."""
+        """A candidate_count of m or more makes every pool the whole catalog
+        in id order, drawn from no race: each row holds the h feedback
+        uniforms alone."""
         catalog, graph, states = mixed_world(n=23, m=150, c=4, links=60, seed=6)
         params = ModelParams(h=6)
         for count in (150, 1000):
@@ -474,6 +499,28 @@ class TestBlockedStep:
                 assert_same_step(step_states, catalog, graph, params, 8, hooks)
                 step_states, _ = simulate_step(step_states, catalog, graph,
                                                params, 8, hooks)
+
+    def test_whole_catalog_pool_draws_no_race(self, monkeypatch):
+        """Under a whole-catalog pool the step never calls the race, and the
+        hook gets every item in id order in every row."""
+        catalog, graph, states = mixed_world(n=9, m=40, c=3, links=20, seed=4)
+        pools = []
+
+        class WholeHooks(StrategyHooks):
+            candidate_count = 40
+
+            def rerank(self, u, candidate_items, catalog, h):
+                pools.append(np.array(candidate_items))
+                return candidate_items[:, :h]
+
+        def no_race(*args, **kwargs):
+            raise AssertionError("the race ran for a whole-catalog pool")
+
+        monkeypatch.setattr(dynamics, "sample_without_replacement", no_race)
+        simulate_step(states, catalog, graph, ModelParams(h=5), 2, WholeHooks())
+        assert pools
+        for pool in pools:
+            np.testing.assert_array_equal(pool, np.tile(np.arange(40), (len(pool), 1)))
 
     def test_softmax_underflow_pads_like_reference(self):
         """A huge alpha leaves most users fewer than h items of positive
@@ -501,7 +548,7 @@ class TestBlockedStep:
         outs = []
         try:
             for users in (1, 2, 7, n):
-                dynamics.BLOCK_ENTRIES = users * m
+                dynamics.BLOCK_ENTRIES = users * row_width(catalog, params.h)
                 outs.append(simulate_step(states, catalog, graph, params, seed))
         finally:
             dynamics.BLOCK_ENTRIES = saved
@@ -519,26 +566,28 @@ def log_arrays(log):
 
 
 class TestStepScratch:
-    """``run`` hands every step one flat scratch for the blocks' scores and
-    race keys; it must change no result and leave nothing aliasing it."""
+    """Steps taken in several user blocks, alone or by ``run``: no result
+    depends on the blocks, and nothing a step returns or hands a hook is
+    reused by the next."""
 
     M = 150
 
-    @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
-        """Four blocks of 5 users and a narrower last block of 2."""
-        monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 5 * self.M)
+    def blocks_of(self, monkeypatch, catalog, users, pool=None):
+        """Blocks of ``users`` users: four of 5 and a narrower last of 2."""
+        monkeypatch.setattr(dynamics, "BLOCK_ENTRIES",
+                            users * row_width(catalog, 6, pool))
 
     def world(self):
         return mixed_world(n=22, m=self.M, c=4, links=60, seed=5)
 
     @pytest.mark.parametrize("strategy", ["none", "dpp"])
-    def test_run_matches_lone_steps(self, strategy):
+    def test_run_matches_lone_steps(self, strategy, monkeypatch):
         catalog, graph, states = self.world()
         params = ModelParams(h=6)
         hooks = build_hooks(
             MitigationConfig(strategy=strategy, **STRATEGY_KNOBS[strategy]),
             params)
+        self.blocks_of(monkeypatch, catalog, 5, hooks.candidate_count)
         traj = run(states, catalog, graph, params, 5, metric_schedule=[],
                    hooks=hooks, master_seed=8, keep_step_logs=True)
         for log in traj.step_logs:
@@ -548,25 +597,11 @@ class TestStepScratch:
         np.testing.assert_array_equal(traj.final_states.user_matrix,
                                       states.user_matrix)
 
-    def test_run_hands_every_step_one_scratch(self, monkeypatch):
+    def test_outputs_outlive_the_next_step(self, monkeypatch):
+        """Step t's log, U(t+1) and the pools handed to ``rerank`` stay as
+        they were when step t+1 runs."""
         catalog, graph, states = self.world()
-        scratches = []
-        step = dynamics.simulate_step
-
-        def spy(*args, scratch=None, **kwargs):
-            scratches.append(scratch)
-            return step(*args, scratch=scratch, **kwargs)
-
-        monkeypatch.setattr(dynamics, "simulate_step", spy)
-        run(states, catalog, graph, ModelParams(h=6), 3, metric_schedule=[])
-        assert len(scratches) == 3 and scratches[0] is not None
-        assert all(s is scratches[0] for s in scratches)
-        assert scratches[0].size == 2 * 5 * self.M
-
-    def test_outputs_outlive_the_next_step(self):
-        """Step t's log, U(t+1) and the pools handed to ``rerank`` are not
-        views of the scratch: step t+1 on the same scratch leaves them be."""
-        catalog, graph, states = self.world()
+        self.blocks_of(monkeypatch, catalog, 5, 10)
         params = ModelParams(h=6)
         pools = []
 
@@ -577,71 +612,43 @@ class TestStepScratch:
                 pools.append(candidate_items)
                 return candidate_items[:, :h]
 
-        scratch = dynamics._block_scratch(states.n, catalog.m)
         next_states, log = simulate_step(states, catalog, graph, params, 8,
-                                         RecordingHooks(), scratch=scratch)
+                                         RecordingHooks())
         outputs = [next_states.user_matrix, *log_arrays(log), *pools]
         assert len(pools) == 5
         kept = [a.copy() for a in outputs]
-        simulate_step(next_states, catalog, graph, params, 8, RecordingHooks(),
-                      scratch=scratch)
+        simulate_step(next_states, catalog, graph, params, 8, RecordingHooks())
         for before, after in zip(kept, outputs):
             np.testing.assert_array_equal(after, before)
-            assert not np.shares_memory(after, scratch)
-
-    def test_any_scratch_gives_the_same_step(self, monkeypatch):
-        """Whatever the scratch holds, and a scratch too small, of another
-        dtype or strided, each gives the step made without one; so does the
-        run's scratch after ``BLOCK_ENTRIES`` is raised past it."""
-        catalog, graph, states = self.world()
-        params = ModelParams(h=6)
-
-        def assert_step(scratch):
-            want_states, want = simulate_step(states, catalog, graph, params, 8)
-            got_states, got = simulate_step(states, catalog, graph, params, 8,
-                                            scratch=scratch)
-            for a, b in zip(log_arrays(got), log_arrays(want)):
-                np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(got_states.user_matrix,
-                                          want_states.user_matrix)
-
-        size = dynamics._block_scratch(states.n, catalog.m).size
-        assert size == 2 * 5 * self.M
-        run_scratch = np.full(size, np.nan)
-        for scratch in (run_scratch, np.full(3, np.nan),
-                        np.full(size, np.nan, dtype=np.float32),
-                        np.full(2 * size, np.nan)[::2]):
-            assert_step(scratch)
-        monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 11 * self.M)
-        assert_step(run_scratch)
 
     def test_race_gets_contiguous_disjoint_block_views(self, monkeypatch):
-        """Every block, the narrower last one included, softmaxes a
-        C-contiguous (m, b) view of the scratch, as a fresh array would be,
-        and races in a C-contiguous (b, m) key view that does not overlap
-        it."""
+        """The step calls the module's ``sample_without_replacement`` once per
+        block, the narrower last one included, with the block's (b, D)
+        weights and its (b, S + K + h) rows of draws: C-contiguous arrays,
+        none shared with another block."""
         catalog, graph, states = self.world()
-        scratch = dynamics._block_scratch(states.n, catalog.m)
+        self.blocks_of(monkeypatch, catalog, 5)
         seen = []
         race_fn = dynamics.sample_without_replacement
 
-        def spy(p, h, rng, keys=None):
-            seen.append((p, keys))
-            return race_fn(p, h, rng, keys)
+        def spy(p, h, draws, groups=None):
+            seen.append((p, draws))
+            return race_fn(p, h, draws, groups)
 
         monkeypatch.setattr(dynamics, "sample_without_replacement", spy)
-        simulate_step(states, catalog, graph, ModelParams(h=6), 8, scratch=scratch)
-        assert [p.shape for p, _ in seen] == [(5, self.M)] * 4 + [(2, self.M)]
-        for p, keys in seen:
-            assert p.T.flags.c_contiguous and keys.flags.c_contiguous
-            assert keys.shape == p.shape
-            assert np.shares_memory(p, scratch) and np.shares_memory(keys, scratch)
-            assert not np.shares_memory(p, keys)
+        simulate_step(states, catalog, graph, ModelParams(h=6), 8)
+        D, width = catalog.groups.sizes.size, row_width(catalog, 6)
+        assert [p.shape for p, _ in seen] == [(5, D)] * 4 + [(2, D)]
+        assert [d.shape for _, d in seen] == [(5, width)] * 4 + [(2, width)]
+        arrays = [a for pair in seen for a in pair]
+        assert all(a.flags.c_contiguous for a in arrays)
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 class TestStressGrid:
-    """Extreme parameters, 20 steps each through the in-place softmax on one
-    reused scratch, as ``run`` takes them."""
+    """Extreme parameters, 20 steps each, as ``run`` takes them."""
 
     @pytest.mark.parametrize("isolated", [False, True])
     def test_invariants_hold_at_every_step(self, isolated, monkeypatch):
@@ -651,12 +658,12 @@ class TestStressGrid:
         make every score exact, and 12 categories of 40 items leave fewer
         than h items positive at a huge alpha, so padding is reached."""
         n, m, h = 12, 40, 5
-        monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 5 * m)   # 5, 5, 2 users
         catalog, graph, states = tiny_world(n=n, m=m, c=12, links=24, seed=3)
+        monkeypatch.setattr(dynamics, "BLOCK_ENTRIES",
+                            5 * row_width(catalog, h))          # 5, 5, 2 users
         if isolated:
             graph = build_social_graph([], n)
         V = catalog.item_vectors
-        scratch = dynamics._block_scratch(n, m)
         padded_at_huge_alpha = 0
         for alpha, beta, epsilon, gamma in itertools.product(
                 (0.0, 5.0, 3e4), (0.0, 20.0), (-1.0, 0.0, 1.0), (0.0, 1.0)):
@@ -667,7 +674,7 @@ class TestStressGrid:
                 U = step_states.user_matrix
                 try:
                     step_states, log = simulate_step(step_states, catalog, graph,
-                                                     params, 7, scratch=scratch)
+                                                     params, 7)
                 except RecloopError:
                     break
                 assert np.isfinite(step_states.user_matrix).all()
@@ -706,16 +713,15 @@ class TestBlockStreams:
             assert stream.bit_generator.state == want
 
     def test_draws_are_user_stream_draws(self):
-        """The step's draws in the step's order: the race's exponentials, a
-        pad choice, the feedback uniforms."""
+        """The step's draws: one row of uniforms per step, filled in place,
+        and the next step's row after it."""
         splitter = StreamSplitter(2**40 + 7)
-        zero_mass = np.arange(30, 50)
         for i, stream in zip(range(3, 9), splitter.block_streams(2**32 + 5, 3, 9)):
             twin = splitter.user_stream(2**32 + 5, i)
-            for draw in (lambda g: g.standard_exponential(50),
-                         lambda g: g.choice(zero_mass, size=6, replace=False),
-                         lambda g: g.random(20)):
-                np.testing.assert_array_equal(draw(stream), draw(twin))
+            row = np.empty(240)
+            stream.random(out=row)
+            np.testing.assert_array_equal(row, twin.random(240))
+            np.testing.assert_array_equal(stream.random(20), twin.random(20))
 
     @pytest.mark.parametrize("t, lo, hi", [
         (0, 2**32 - 1, 2**32 + 1), (0, 2**32, 2**32 + 1), (-1, 0, 3), (0, -1, 3),
@@ -835,42 +841,6 @@ class TestSimulateStep:
         catalog, graph, states = tiny_world(m=5)
         with pytest.raises(InvalidRequest):
             simulate_step(states, catalog, graph, ModelParams(h=10), 0)
-
-    def test_monte_carlo_mean_matches_exact_expectation(self):
-        """Mean simulated update converges to the exact expectation built
-        from the true without-replacement inclusion probabilities and the
-        exact feedback law (estimated on the same sampler, separate seed)."""
-        catalog, graph, states = tiny_world(n=1, m=12, c=3, links=0, seed=4)
-        params = ModelParams(alpha=0.8, beta=1.5, epsilon=0.1, gamma=1.0,
-                             eta=0.2, h=3)
-        u = states.user_matrix[:, 0]
-        p = softmax_slate(u, catalog, params.alpha)
-
-        # inclusion probabilities for the race sampler, high-precision MC
-        rng = np.random.default_rng(99)
-        trials = 200_000
-        keys = rng.exponential(size=(trials, catalog.m)) / p
-        order = np.argpartition(keys, params.h - 1, axis=1)[:, :params.h]
-        incl = np.zeros(catalog.m)
-        np.add.at(incl, order.ravel(), 1.0)
-        incl /= trials
-
-        dots = catalog.item_vectors.T @ u
-        pos, neg = _feedback_pair(dots, params.beta, params.epsilon)
-        g = pos - neg
-        expected = u + (params.eta / params.h) * (
-            catalog.item_vectors @ (incl * g))
-
-        reps = 100_000
-        acc = np.zeros(3)
-        for r in range(reps):
-            new_states, _ = simulate_step(states, catalog, graph, params, r)
-            acc += new_states.user_matrix[:, 0]
-        mean_update = acc / reps
-        # coordinate std of one update is ~eta/h per item; 4 standard errors
-        spread = (params.eta / params.h) * np.sqrt(params.h)
-        se = spread / np.sqrt(reps)
-        np.testing.assert_allclose(mean_update, expected, atol=4.5 * se + 5e-5)
 
 
 class TestRun:

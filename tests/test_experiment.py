@@ -75,6 +75,17 @@ class TestIngestInteractions:
             result.catalog.item_vectors[:, 2],
             [np.sqrt(0.5), np.sqrt(0.5)])
 
+    def test_unsorted_and_repeated_categories_give_the_same_catalog(self, dataset_dir):
+        """A category list is a set: listed out of order or with repeats, it
+        gives the catalog of the sorted, distinct list."""
+        (dataset_dir / "messy.csv").write_text("i1,0;0\ni2,1\ni3,1;0;1;;0\n")
+        want = ingest_interactions(dataset_dir / "interactions.csv",
+                                   dataset_dir / "items.csv").catalog
+        got = ingest_interactions(dataset_dir / "interactions.csv",
+                                  dataset_dir / "messy.csv").catalog
+        assert got.item_vectors.tobytes() == want.item_vectors.tobytes()
+        assert got.category_sets == ((0,), (1,), (0, 1))
+
     def test_unknown_item_reports_line(self, dataset_dir):
         (dataset_dir / "bad.csv").write_text("alice,i1,5\nalice,zzz,4\n")
         with pytest.raises(ParseError) as err:
