@@ -13,16 +13,17 @@ share one vector, so the recommendation softmax is a law over the catalog's
 D groups of equal items (``ItemCatalog.groups``), largest group first: a
 user scores the D group vectors, and the race draws each slate item's group
 and then the item, uniformly within its group. Users go through the scores,
-the race and the re-rank hook in blocks of about ``BLOCK_ENTRIES // width``
-users, where ``width`` is the numbers one user's row draws plus its pool
-size; feedback and the update are array work over the whole step.
+the race and the re-rank hook in blocks of about ``BLOCK_ENTRIES // w``
+users, where w is the ``width`` of one user's row (below), plus m for a
+whole-catalog pool; feedback and the update are array work over the whole
+step.
 
-Randomness is counter-split per (step, user): each user draws from the
-PCG64 stream of ``SeedSequence((master, t, i))``, and
-``StreamSplitter.block_streams`` hashes the seeds of a whole block at once,
-bit for bit. Each step, user i fills one row of its stream in one call. For
-a pool of K items (h, or the hooks' ``candidate_count``) drawn from groups
-of k_g items, the row holds
+Randomness is split per (step, user): step t draws from the one PCG64
+stream of ``SeedSequence((master, t))``, and user i's row is the ``width``
+numbers after the first i * width of it (``StreamSplitter.user_stream``), so
+a block of users draws its rows in one call. For a pool of K items (h, or
+the hooks' ``candidate_count``) drawn from groups of k_g items, the row
+holds ``width`` = S + K + h numbers:
 
 - S = sum_g min(K, k_g) slot uniforms, one per (group, order) slot, order
   by order and then by group (see ``sample_without_replacement``);
@@ -30,13 +31,13 @@ of k_g items, the row holds
 - the h feedback uniforms, one per slate position.
 
 A pool of the whole catalog (``candidate_count`` >= m) is the catalog in id
-order, and its row holds the h feedback uniforms alone. So every draw is
-independent of the blocking and of the hooks, which draw nothing, and a
-T-step run is a prefix of a longer one. Floating-point results need not be
-independent of the blocking: on a multi-category catalog a matrix product
-can round a row differently in blocks of another shape, so outputs are a
-pure function of (config, seeds) at the fixed ``BLOCK_ENTRIES`` and
-``metrics.GRAM_ENTRIES``.
+order, and its row holds the h feedback uniforms alone (``width`` = h). So
+every draw is independent of the blocking and of the hooks, which draw
+nothing, and a T-step run is a prefix of a longer one. Floating-point
+results need not be independent of the blocking: on a multi-category
+catalog a matrix product can round a row differently in blocks of another
+shape, so outputs are a pure function of (config, seeds) at the fixed
+``BLOCK_ENTRIES`` and ``metrics.GRAM_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .catalog import (ItemCatalog, ItemGroups, ModelParams, SocialGraph, UserStates,
                       group_columns, row_blocks)
@@ -57,15 +57,16 @@ BLOCK_ENTRIES = 1 << 19     # entries of one (block, width) array in simulate_st
 
 
 class StreamSplitter:
-    """Derives an independent random stream for every (step, user) pair.
+    """Derives the random stream of every (step, user) pair.
 
-    ``user_stream(t, i)`` defines the stream: a PCG64 generator seeded by
-    ``SeedSequence((master, t, i))``, so per-user work can be reordered or
-    parallelized without changing a single draw. ``block_streams`` builds
-    the same generators for a block of users, hashing the block's seeds in
-    one pass of uint32 array arithmetic instead of one ``SeedSequence`` each.
-    ``simulate_step`` draws one row of uniforms from each stream (the row
-    layout is in the module docstring).
+    Step t draws from one PCG64 generator, seeded by
+    ``SeedSequence((master, t))``. ``user_stream(t, i, width)`` is that
+    stream advanced past the rows of users 0 .. i - 1, ``width`` numbers
+    each (``random()`` takes one 64-bit output per double), so a block of
+    users draws its rows in one call and per-user work can be reordered or
+    parallelized without changing a single draw. ``simulate_step`` draws one
+    row of ``width`` uniforms per user (the row layout is in the module
+    docstring).
     """
 
     def __init__(self, master_seed: int):
@@ -73,82 +74,14 @@ class StreamSplitter:
             raise InvalidRequest("master seed must be a non-negative integer")
         self.master_seed = int(master_seed)
 
-    def user_stream(self, t: int, i: int) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=(self.master_seed, t, i))
-        )
-
-    def block_streams(self, t: int, lo: int, hi: int) -> list[np.random.Generator]:
-        """``[self.user_stream(t, i) for i in range(lo, hi)]``, bit for bit."""
-        if t < 0 or not 0 <= lo <= hi <= 1 << 32:
-            raise InvalidRequest(f"no stream for step {t}, users {lo}..{hi - 1}: "
-                                 "users lie in [0, 2**32), steps are >= 0")
-        users = np.arange(lo, hi, dtype=np.uint32)
-        prefix = _uint32_words(self.master_seed) + _uint32_words(t)
-        entropy = [np.full(users.size, w, dtype=np.uint32) for w in prefix] + [users]
-        return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
-                for words in _seed_state(entropy)]
-
-
-# SeedSequence's constants (numpy/random/bit_generator.pyx).
-_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
-_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
-_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
-_POOL_SIZE = 4
-
-
-class _SeedWords(ISeedSequence):
-    """Hands PCG64 the words that ``SeedSequence.generate_state`` would give."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def _uint32_words(x: int) -> list[int]:
-    """The 32-bit words of x, low first, as SeedSequence splits an int (0 is [0])."""
-    return [x >> shift & 0xFFFFFFFF for shift in range(0, max(x.bit_length(), 1), 32)]
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix; each call moves the hash constant on one step."""
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & 0xFFFFFFFF
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return result ^ (result >> np.uint32(16))
-
-
-def _seed_state(entropy: list[np.ndarray]) -> np.ndarray:
-    """``SeedSequence(entropy).generate_state(4, np.uint64)`` for many users.
-
-    ``entropy`` lists the entropy's uint32 words, each an array over users;
-    returns (users, 4) uint64. This is ``mix_entropy`` over a pool of 4,
-    then ``generate_state``, in uint32 array arithmetic, which wraps as
-    numpy's compiled code does.
-    """
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[k] if k < len(entropy) else np.zeros_like(entropy[0]))
-            for k in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    state = [hashmix(pool[k % _POOL_SIZE]) for k in range(2 * _POOL_SIZE)]
-    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+    def user_stream(self, t: int, i: int, width: int) -> np.random.Generator:
+        # A negative advance would hand back another user's row.
+        if min(t, i, width) < 0:
+            raise InvalidRequest(f"no stream for step {t}, user {i}, width {width}: "
+                                 "each must be >= 0")
+        bits = np.random.PCG64(np.random.SeedSequence((self.master_seed, t)))
+        bits.advance(i * width)
+        return np.random.Generator(bits)
 
 
 def sample_without_replacement(p: np.ndarray, h: int, draws,
@@ -346,8 +279,8 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     Users score the catalog's groups of equal items (``ItemCatalog.groups``):
     user i's logits are alpha_i G^T s_i over the D group vectors G, and its
     group weights exp(logit - max logit). Each user draws one row of its
-    (step, user) stream of ``StreamSplitter(master_seed)``, built with the
-    rest of its block by ``block_streams``, in one call: the S + K uniforms
+    (step, user) stream of ``StreamSplitter(master_seed)``, and a block of
+    users draws its rows in one call: the S + K uniforms
     with which ``sample_without_replacement`` draws its pool of K items
     (h, or the hooks' ``candidate_count``), then its h feedback uniforms. A
     pool of the whole catalog (``candidate_count`` >= m) is the catalog in
@@ -374,18 +307,17 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
     groups = catalog.groups
     whole = hooks.candidate_count is not None and pool == m
     race = 0 if whole else int(np.minimum(groups.sizes, pool).sum()) + pool
+    width = race + h
 
     slate_items = np.empty((n, h), dtype=np.int64)
     uniforms = np.empty((n, h))
     padded = np.empty(n, dtype=bool)
 
-    for lo, hi in row_blocks(n, BLOCK_ENTRIES, race + h + (m if whole else 0)):
+    for lo, hi in row_blocks(n, BLOCK_ENTRIES, width + (m if whole else 0)):
         b = hi - lo
         weights = _group_weights(social[:, lo:hi], alphas[lo:hi], groups.vectors)
         padded[lo:hi] = (weights > 0) @ groups.sizes < pool
-        draws = np.empty((b, race + h))
-        for stream, row in zip(splitter.block_streams(states.t, lo, hi), draws):
-            stream.random(out=row)
+        draws = splitter.user_stream(states.t, lo, width).random((b, width))
         uniforms[lo:hi] = draws[:, race:]
         if whole:
             pools = np.broadcast_to(np.arange(m), (b, m))

@@ -406,8 +406,9 @@ def mixed_world(n, m, c, links, seed):
 def reference_step(states, catalog, graph, params, seed, hooks=None):
     """The engine one user at a time, from the documented row layout: the
     reference the blocked step must match bit for bit. The groups come from
-    ``np.unique``, each user's race from the one-user oracle on its own
-    stream's row, and its feedback from the rest of the row."""
+    ``np.unique``, each user's race from the one-user oracle on its row,
+    drawn from ``user_stream(t, i, width)`` alone, and its feedback from the
+    rest of the row."""
     splitter = StreamSplitter(seed)
     hooks = hooks or StrategyHooks()
     U = states.user_matrix
@@ -425,6 +426,7 @@ def reference_step(states, catalog, graph, params, seed, hooks=None):
     pool = h if hooks.candidate_count is None else min(int(hooks.candidate_count), m)
     whole = hooks.candidate_count is not None and pool == m
     slots = int(np.minimum(sizes, pool).sum())
+    width = h if whole else slots + pool + h
 
     new_U = np.empty_like(U)
     slate_items = np.empty((n, h), dtype=np.int64)
@@ -432,13 +434,12 @@ def reference_step(states, catalog, graph, params, seed, hooks=None):
     p_pos = np.empty((n, h))
     padded = np.empty(n, dtype=bool)
     for i in range(n):
-        stream = splitter.user_stream(states.t, i)
+        row = splitter.user_stream(states.t, i, width).random(width)
         w = weights[i, labels]
         padded[i] = int((w > 0).sum()) < pool
         if whole:
-            items, feedback = np.arange(m), stream.random(h)
+            items, feedback = np.arange(m), row
         else:
-            row = stream.random(slots + pool + h)
             items = race(w, pool, row[:slots + pool], labels)
             feedback = row[slots + pool:]
         items = np.asarray(hooks.rerank(U[:, i], items, catalog, h), dtype=np.int64)
@@ -534,12 +535,13 @@ class TestBlockedStep:
            alpha=st.sampled_from([0.0, 5.0, 3e4]), seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
     def test_block_size_changes_nothing(self, n, m, c, alpha, seed):
-        """Counter-split streams make every draw independent of the blocking:
-        a block constant worth 1, 2, 7 and n users gives bit-equal steps (a
-        block holds two users or more unless n == 1). This holds for these
-        small worlds (c <= 4); on larger multi-category catalogs a product in
-        blocks of another shape can round a logit differently, so outputs
-        are fixed only at the fixed ``BLOCK_ENTRIES``."""
+        """Rows at fixed offsets of the step's stream make every draw
+        independent of the blocking: a block constant worth 1, 2, 7 and n
+        users gives bit-equal steps (a block holds two users or more unless
+        n == 1). This holds for these small worlds (c <= 4); on larger
+        multi-category catalogs a product in blocks of another shape can
+        round a logit differently, so outputs are fixed only at the fixed
+        ``BLOCK_ENTRIES``."""
         catalog, graph, states = mixed_world(n=n, m=m, c=c,
                                              links=min(n * (n - 1), 2 * n),
                                              seed=seed)
@@ -692,46 +694,38 @@ class TestStressGrid:
         assert padded_at_huge_alpha > 0
 
 
-class TestBlockStreams:
-    """``block_streams`` hashes a block's seeds in one pass; each of its
-    generators is the one ``user_stream`` builds through ``SeedSequence``."""
+class TestUserStream:
+    """Step t's draws are one stream; user i's row is the ``width`` numbers
+    after the first i * width of it, so a block's rows are one call."""
 
     @settings(max_examples=80, deadline=None)
     @given(master=st.integers(0, 2**128 - 1), t=st.integers(0, 2**33),
-           lo=st.one_of(st.integers(0, 1000), st.integers(2**32 - 300, 2**32 - 1)),
-           size=st.one_of(st.just(1), st.integers(2, 300)))
-    @example(master=0, t=0, lo=0, size=1)
-    @example(master=2**32 - 1, t=2**32 - 1, lo=2**32 - 1, size=1)
-    @example(master=2**32, t=2**32, lo=2**32 - 200, size=200)
-    @example(master=2**100, t=2**33, lo=0, size=100)
-    def test_state_is_seed_sequence_state(self, master, t, lo, size):
-        hi = min(lo + size, 2**32)
-        streams = StreamSplitter(master).block_streams(t, lo, hi)
-        assert len(streams) == hi - lo
-        for i, stream in zip(range(lo, hi), streams):
-            want = np.random.PCG64(np.random.SeedSequence((master, t, i))).state
-            assert stream.bit_generator.state == want
+           lo=st.integers(0, 200), size=st.integers(1, 40),
+           width=st.integers(0, 60))
+    @example(master=0, t=0, lo=0, size=1, width=1)
+    @example(master=2**100, t=2**33, lo=200, size=40, width=60)
+    def test_block_rows_are_user_rows(self, master, t, lo, size, width):
+        splitter = StreamSplitter(master)
+        block = splitter.user_stream(t, lo, width).random((size, width))
+        whole = splitter.user_stream(t, 0, width).random((lo + size, width))
+        np.testing.assert_array_equal(block, whole[lo:])
+        for i, row in enumerate(block, start=lo):
+            np.testing.assert_array_equal(
+                row, splitter.user_stream(t, i, width).random(width))
 
-    def test_draws_are_user_stream_draws(self):
-        """The step's draws: one row of uniforms per step, filled in place,
-        and the next step's row after it."""
-        splitter = StreamSplitter(2**40 + 7)
-        for i, stream in zip(range(3, 9), splitter.block_streams(2**32 + 5, 3, 9)):
-            twin = splitter.user_stream(2**32 + 5, i)
-            row = np.empty(240)
-            stream.random(out=row)
-            np.testing.assert_array_equal(row, twin.random(240))
-            np.testing.assert_array_equal(stream.random(20), twin.random(20))
+    def test_is_seed_sequence_stream_advanced(self):
+        """The PCG64 stream of SeedSequence((master, t)), advanced by i * width:
+        a Python int, so the offset may pass 2**64."""
+        splitter = StreamSplitter(5)
+        far = splitter.user_stream(3, 2**40, 2**30).random(4)
+        bits = np.random.PCG64(np.random.SeedSequence((5, 3)))
+        bits.advance(2**70)
+        np.testing.assert_array_equal(far, np.random.Generator(bits).random(4))
 
-    @pytest.mark.parametrize("t, lo, hi", [
-        (0, 2**32 - 1, 2**32 + 1), (0, 2**32, 2**32 + 1), (-1, 0, 3), (0, -1, 3),
-        (0, 3, 2)])
-    def test_out_of_range_rejected(self, t, lo, hi):
-        with pytest.raises(InvalidRequest, match=r"2\*\*32"):
-            StreamSplitter(1).block_streams(t, lo, hi)
-
-    def test_empty_block(self):
-        assert StreamSplitter(1).block_streams(4, 7, 7) == []
+    @pytest.mark.parametrize("t, i, width", [(-1, 0, 3), (0, -1, 3), (0, 2, -3)])
+    def test_negative_step_user_or_width_rejected(self, t, i, width):
+        with pytest.raises(InvalidRequest, match=">= 0"):
+            StreamSplitter(1).user_stream(t, i, width)
 
 
 class TestSimulateStep:
@@ -877,8 +871,8 @@ class TestRun:
         assert [r.rce for r in t1.records] == [r.rce for r in t2.records]
 
     def test_t_prefix_of_longer_run_is_identical(self):
-        """Counter-split streams make a T-step run a strict prefix of a
-        longer run with the same master seed."""
+        """Streams keyed by (master, t) make a T-step run a strict prefix
+        of a longer run with the same master seed."""
         catalog, graph, states = tiny_world()
         short = run(states, catalog, graph, ModelParams(h=5), 3, master_seed=9)
         long = run(states, catalog, graph, ModelParams(h=5), 6, master_seed=9)
