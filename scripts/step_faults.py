@@ -8,13 +8,16 @@ Imports ``recloop`` from ``ROOT/src`` with BLAS at one thread and runs
 measured, on these worlds (all of them by default):
 
 - ``desk``: 300 steps of the desk world (n=100, m=1000, c=10, 1000 links);
+- ``desk-dpp``: 50 steps of the desk world under
+  ``DiversityRerankHooks(0.501, 1000)``, the dpp re-rank of whole-catalog
+  pools;
 - ``platform-size``: 4 steps of n=5000, m=2000, c=28, 50000 links;
 - ``wide``: 4 steps of the ``SyntheticSpec`` default world (n=1000,
   m=10000, c=10, 10000 links);
 - ``ciao-size``: 1 step of n=7375 users, 15 random trust links each, and
   105,114 items with the category mix of ``perfbench/ciao.py`` (c=28).
 
-The first three are ``generate_synthetic`` worlds of seed 1. One step of
+All but ``ciao-size`` are ``generate_synthetic`` worlds of seed 1. One step of
 each world runs first, to fault in what every later step shares. The fault
 count is this process's ``ru_minflt`` (``resource.getrusage(RUSAGE_SELF)``)
 across the run; the peak is its ``ru_maxrss`` after the world.
@@ -29,7 +32,9 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"          # before numpy loads its BLAS
 
-WORLDS = {"desk": (dict(n=100, m=1000, c=10, link_count=1000), 300),
+DESK = dict(n=100, m=1000, c=10, link_count=1000)
+WORLDS = {"desk": (DESK, 300),
+          "desk-dpp": (DESK, 50),
           "platform-size": (dict(n=5000, m=2000, c=28, link_count=50000), 4),
           "wide": (dict(n=1000, m=10000, c=10, link_count=10000), 4),
           "ciao-size": (dict(n=7375, m=105114, c=28, link_count=15), 1)}
@@ -70,15 +75,20 @@ def main(argv) -> int:
     params = recloop.ModelParams()
     for name in names:
         world, steps = WORLDS[name]
+        hooks = None
+        if name == "desk-dpp":
+            from recloop.mitigation import DiversityRerankHooks
+            hooks = DiversityRerankHooks(0.501, 1000)
         if name == "ciao-size":
             catalog, states, graph = ciao_size_world(recloop, **world)
         else:
             catalog, states, graph = recloop.generate_synthetic(**world, seed=1)
-        recloop.run(states, catalog, graph, params, 1, metric_schedule=[])
+        recloop.run(states, catalog, graph, params, 1, metric_schedule=[],
+                    hooks=hooks)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         recloop.run(states, catalog, graph, params, steps, metric_schedule=[],
-                    master_seed=1)
+                    hooks=hooks, master_seed=1)
         seconds = time.perf_counter() - start
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

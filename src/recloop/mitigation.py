@@ -7,8 +7,9 @@ aggregation toward broad-interest users. Exactly one strategy is active per
 run; combining them is out of scope.
 
 Each hook works on a whole block of users or a whole step: the DPP re-rank
-runs its greedy selection for every user of a block at once, one (b, K)
-score matrix per pick; a one-user call of the hook is the one-row case.
+runs its greedy selection for every user of a block at once, one (b, S)
+score matrix per pick over each pool's S = min(K, D) slots, one per group
+of equal items; a one-user call of the hook is the one-row case.
 """
 
 from __future__ import annotations
@@ -82,36 +83,71 @@ def _greedy_select(users: np.ndarray, pools: np.ndarray, catalog: ItemCatalog,
     users (b, c), pools (b, K) of distinct ids. The first pick maximizes
     relevance u.v; each later pick maximizes (1-theta) u.v - theta
     v.(normalized sum of chosen vectors). Ties break toward the lowest id.
-    Stacked matmuls make per row the gemv (relevance, penalty) and the ddot
-    (chosen-sum norm) of a one-row call, so no row depends on the others.
-    A pool of all m items is, sorted, the whole catalog in id order. Each
-    (K, c) matrix is C-ordered, as ``V[:, items]`` lays it out: the F-ordered
-    ``V.T`` goes to another gemv kernel, which rounds differently.
+
+    Items of one vector score alike, so the greedy runs over slots: one per
+    group of equal items (``ItemCatalog.groups``) in the row's pool, in the
+    catalog's group order, then dead slots up to S = min(K, D). A slot holds
+    its group's vector and its next id, the group's lowest pool id not yet
+    picked, or m once the group is used up (always, for a dead slot). Each
+    pick takes the slot of highest score, equal scores by lowest next id,
+    and advances it; a slot at m scores -inf. Stacked matmuls make per row
+    the gemv (relevance, penalty) of a one-row call over its C-ordered
+    (S, c) slot matrix and the ddot (chosen-sum norm), so no row depends on
+    the others: BLAS rounds a gemv's row by its position and the matrix
+    height. A pool of all m items is every group in every row: its slots
+    are laid out once, from the catalog's members, and copied to each row.
     """
     b, K = pools.shape
-    V = catalog.item_vectors
-    rows = np.arange(b)
-    if K == catalog.m:
-        items, vecs, row = None, np.ascontiguousarray(V.T)[None], 0   # (1, m, c)
+    groups, m = catalog.groups, catalog.m
+    # Each pool by group, then id; a whole-catalog pool is the catalog's
+    # members in that order, one row for all.
+    if K == m:
+        key = (groups.index[groups.members] * m + groups.members)[None]
     else:
-        items = np.sort(pools, axis=1)      # argmax then prefers low item ids
-        vecs, row = V[:, items].transpose(1, 2, 0), rows              # (b, K, c)
+        key = np.sort(groups.index[pools] * m + pools, axis=1)
+    R, key = len(key), key.ravel()
+    group = key // m
+    new = np.ones(key.size, dtype=bool)        # where a row's next group starts
+    new[1:] = group[1:] != group[:-1]
+    new[::K] = True
+    slot = np.cumsum(new) - 1                  # each entry's slot, over all rows
+    first = np.flatnonzero(new)                # each slot's first entry
+    ids = np.full(key.size + first.size, m)    # each slot's ids, then m
+    ids[np.arange(key.size) + slot] = key % m
+    r = first // K
+    col = slot[first] - slot[r * K]            # the slot's place in its row
+    # Each slot's next id, as a place in ids; a dead slot's is the last m.
+    at = np.full((R, min(K, groups.sizes.size)), ids.size - 1)
+    at[r, col] = first + slot[first]
+    slot_group = np.zeros_like(at)
+    slot_group[r, col] = group[first]
+    at = np.broadcast_to(at, (b, at.shape[1])).copy()
+    vecs = np.ascontiguousarray(groups.vectors.T)[
+        np.broadcast_to(slot_group, at.shape)]                       # (b, S, c)
+    # A slot ranks by (score, -next id), its score -inf once its next id is
+    # m: a complex argmax compares the two in turn.
+    tie = np.zeros(ids.size, dtype=complex)
+    tie.imag = -ids
+    tie.real[ids == m] = -np.inf
     relevance = np.matmul(vecs, users[:, :, None])[:, :, 0]
-    picks = np.empty((b, h), dtype=np.int64)
-    picks[:, 0] = np.argmax(relevance, axis=1)
-    chosen_sum = vecs[row, picks[:, 0]]                             # (b, c)
     scaled = (1.0 - theta) * relevance
-    # Reused buffers: a fresh (b, K) array per pick costs its page faults.
-    penalty, scores = np.empty((b, K, 1)), np.empty((b, K))
-    for j in range(1, h):
-        norm = np.sqrt(np.matmul(chosen_sum[:, None, :], chosen_sum[:, :, None]))
-        np.matmul(vecs, (chosen_sum / norm[:, 0])[:, :, None], out=penalty)
-        np.subtract(scaled, np.multiply(theta, penalty[:, :, 0], out=scores),
-                    out=scores)
-        scores[rows[:, None], picks[:, :j]] = -np.inf
-        picks[:, j] = np.argmax(scores, axis=1)
-        chosen_sum += vecs[row, picks[:, j]]
-    return picks if items is None else np.take_along_axis(items, picks, axis=1)
+    cells, flat_at = np.arange(b) * at.shape[1], at.ravel()
+    flat_vecs = vecs.reshape(-1, vecs.shape[2])
+    picks = np.empty((b, h), dtype=np.int64)
+    chosen_sum = np.zeros_like(users)
+    for j in range(h):
+        rank = tie.take(at)
+        if j:
+            norm = np.sqrt(np.matmul(chosen_sum[:, None, :], chosen_sum[:, :, None]))
+            penalty = np.matmul(vecs, (chosen_sum / norm[:, 0])[:, :, None])[:, :, 0]
+            rank.real += scaled - theta * penalty
+        else:
+            rank.real += relevance
+        cell = cells + rank.argmax(axis=1)
+        picks[:, j] = flat_at[cell]
+        flat_at[cell] += 1
+        chosen_sum += flat_vecs.take(cell, axis=0)
+    return ids.take(picks)
 
 
 class AdaptiveAlphaHooks(StrategyHooks):
@@ -140,7 +176,9 @@ class DiversityRerankHooks(StrategyHooks):
     Relevance is scored against the l2-normalized user vector so the
     diversity penalty stays commensurate as raw norms grow. ``rerank`` takes
     a block's (c, b) users and (b, K) pools and returns (b, h) slates; one
-    user's (c,) vector and (K,) pool give one (h,) slate.
+    user's (c,) vector and (K,) pool give one (h,) slate. Items of equal
+    vector (one group of ``ItemCatalog.groups``) tie exactly, so a slate
+    takes each group's items in increasing id order.
     """
 
     def __init__(self, theta: float, candidate_count: int = 1000):

@@ -50,10 +50,45 @@ def fua_weight(sign: int, rho: float) -> float:
 
 def dpp_rerank_reference(u: np.ndarray, candidate_items: np.ndarray,
                          catalog: ItemCatalog, theta: float, h: int) -> np.ndarray:
-    """The greedy selection one user at a time, one norm and gemv per pick."""
-    cands = np.asarray(candidate_items, dtype=np.int64)
-    order = np.argsort(cands, kind="stable")   # argmax then prefers low item ids
-    cands = cands[order]
+    """The greedy selection for one user over the distinct vectors of its
+    pool, one norm and gemv per pick. Each distinct vector is scored once; a
+    pick takes the best score, equal scores by the lowest unpicked id, and
+    that id. A gemv rounds a row by its position and the matrix height, so
+    the vectors stand in the catalog's group order (``ItemCatalog.groups``)
+    as rows of a C-ordered (min(K, D), c) matrix, zero rows last: the layout
+    the hook scores a row in."""
+    cands = np.sort(np.asarray(candidate_items, dtype=np.int64))
+    distinct, which = np.unique(catalog.item_vectors[:, cands], axis=1,
+                                return_inverse=True)
+    members = [cands[which == d] for d in range(distinct.shape[1])]
+    order = np.argsort([catalog.groups.index[ids[0]] for ids in members])
+    members = [members[d] for d in order]
+    vecs = np.zeros((min(cands.size, catalog.groups.sizes.size), catalog.c))
+    vecs[:len(members)] = distinct[:, order].T
+    relevance = vecs @ np.asarray(u, dtype=float)
+
+    picks = []
+    chosen_sum = np.zeros(catalog.c)
+    scores = relevance
+    for j in range(h):
+        if j:
+            direction = chosen_sum / np.linalg.norm(chosen_sum)
+            scores = (1.0 - theta) * relevance - theta * (vecs @ direction)
+        left = [d for d in range(len(members)) if members[d].size]
+        best = max(left, key=lambda d: (scores[d], -members[d][0]))
+        picks.append(members[best][0])
+        members[best] = members[best][1:]
+        chosen_sum += vecs[best]
+    return np.array(picks, dtype=np.int64)
+
+
+def dpp_rerank_items(u: np.ndarray, candidate_items: np.ndarray,
+                     catalog: ItemCatalog, theta: float, h: int) -> np.ndarray:
+    """The greedy selection for one user, one score per pool item, ties by
+    the lowest id. Equal vectors can score 1 ulp apart at other rows of the
+    gemv, so this is the selection only where every score is exact: on
+    single-category catalogs."""
+    cands = np.sort(np.asarray(candidate_items, dtype=np.int64))
     vecs = catalog.item_vectors[:, cands]      # (c, K)
     relevance = vecs.T @ np.asarray(u, dtype=float)
 
@@ -74,11 +109,13 @@ def dpp_rerank_reference(u: np.ndarray, candidate_items: np.ndarray,
 
 
 def dpp_hook_reference(u: np.ndarray, candidate_items: np.ndarray,
-                       catalog: ItemCatalog, theta: float, h: int) -> np.ndarray:
-    """The re-rank hook for one user: relevance against the unit user vector."""
+                       catalog: ItemCatalog, theta: float, h: int,
+                       select=dpp_rerank_reference) -> np.ndarray:
+    """The re-rank hook for one user: ``select`` with relevance against the
+    unit user vector."""
     norm = np.linalg.norm(u)
     un = u / norm if norm > 0 else u
-    return dpp_rerank_reference(un, candidate_items, catalog, theta, h)
+    return select(un, candidate_items, catalog, theta, h)
 
 
 def sar_social_representation(states, graph: SocialGraph, i: int, gamma: float,

@@ -26,6 +26,7 @@ from recloop.errors import InvalidRequest
 
 from oracles import (
     dpp_hook_reference,
+    dpp_rerank_items,
     fua_weight,
     reweighted_influence,
     sar_social_representation,
@@ -212,9 +213,8 @@ class TestBatchedRerank:
 
     @pytest.mark.parametrize("m", [6, 30, 31])
     def test_equal_multi_category_items_tie_exactly(self, m):
-        """Items with the same two categories must score bit-equal wherever
-        they sit in the catalog; BLAS kernels round tail rows differently,
-        so only the per-user layout keeps the lowest-id tie-break."""
+        """Items with the same two categories share one slot, wherever they
+        sit in the catalog, so the lowest id among them is picked first."""
         rng = np.random.default_rng(m)
         catalog = ItemCatalog.from_category_sets(
             [((0, 1), (1, 2))[int(rng.integers(0, 2))] for _ in range(m)], 3)
@@ -245,6 +245,70 @@ class TestBatchedRerank:
         got = DiversityRerankHooks(0.501).rerank(u, pool, catalog, self.H)
         np.testing.assert_array_equal(
             got, dpp_hook_reference(u, pool, catalog, 0.501, self.H))
+
+
+class TestGroupSlots:
+    """The greedy runs over one slot per group of equal items in a pool,
+    each slot handing out its group's pool ids in increasing order."""
+
+    @pytest.mark.parametrize("c", [8, 16, 28])
+    @pytest.mark.parametrize("theta", [0.0, 0.501, 1.0])
+    def test_each_group_is_picked_in_id_order(self, c, theta):
+        """Twelve items of three two-category sets: equal vectors at other
+        BLAS rows of a per-item gemv can score 1 ulp apart, which broke this
+        order at K = h = 6."""
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            sets = [tuple(rng.choice(c, 2, replace=False)) for _ in range(3)]
+            catalog = ItemCatalog.from_category_sets(
+                [sets[int(rng.integers(0, 3))] for _ in range(12)], c)
+            U = rng.standard_normal((c, 16))
+            slates = DiversityRerankHooks(theta).rerank(
+                U, random_pools(rng, 16, 6, 12), catalog, 6)
+            for slate, group in zip(slates, catalog.groups.index[slates]):
+                for g in np.unique(group):
+                    assert (np.diff(slate[group == g]) > 0).all(), (seed, slate)
+
+    @pytest.mark.parametrize("theta, slate", [(0.0, [0, 2, 4, 5]), (1.0, [0, 4, 5, 2])])
+    def test_partial_group_runs_out(self, theta, slate):
+        """The pool holds items 0 and 2 of category 0's three, and K = h. At
+        theta 0 both come first, then the equal-scored others by id. At
+        theta 1 the penalty alone ranks after item 0: categories 1 and 2 tie
+        at 0 (item 4 first), then category 2 beats 0 and 1, and item 2, the
+        pool's last of category 0, comes last."""
+        catalog = ItemCatalog.from_category_sets([(0,), (0,), (0,), (1,), (1,), (2,)], 3)
+        got = DiversityRerankHooks(theta).rerank(np.array([1.0, 0.0, 0.0]),
+                                                 np.array([5, 2, 0, 4]), catalog, 4)
+        np.testing.assert_array_equal(got, slate)
+
+    @pytest.mark.parametrize("pool", [[0, 1, 2, 3, 4], [4, 3, 1, 2, 0], [3, 2, 1, 0]])
+    def test_cross_group_ties_take_the_lowest_id(self, pool):
+        """Categories 0 and 1 tie exactly at every pick of theta 0, so the
+        slate alternates between the two groups by id, not group by group."""
+        catalog = ItemCatalog.from_category_sets([(1,), (0,), (1,), (0,), (2,)], 3)
+        got = DiversityRerankHooks(0.0).rerank(np.array([0.5, 0.5, 0.0]),
+                                               np.array(pool), catalog, 4)
+        np.testing.assert_array_equal(got, [0, 1, 2, 3])
+
+    @given(m=st.integers(2, 80), c=st.integers(1, 8), b=st.integers(1, 9),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_single_category_matches_per_item_greedy(self, m, c, b, data):
+        """Every score of a single-category catalog is an exact coordinate,
+        so the slots pick what the per-item greedy picks, bit for bit."""
+        h = data.draw(st.integers(1, min(m, 12)))
+        K = data.draw(st.sampled_from(sorted({h, max(h, m // 3), m})))
+        theta = data.draw(st.sampled_from([0.0, 0.3, 0.501, 1.0]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        catalog = ItemCatalog.from_category_sets(
+            [(int(rng.integers(0, c)),) for _ in range(m)], c)
+        U = rng.standard_normal((c, b)) * rng.choice([1e-5, 1.0, 1e5], size=b)
+        pools = random_pools(rng, b, K, m)
+        want = np.array([dpp_hook_reference(U[:, r], pools[r], catalog, theta, h,
+                                            select=dpp_rerank_items)
+                         for r in range(b)])
+        np.testing.assert_array_equal(
+            DiversityRerankHooks(theta).rerank(U, pools, catalog, h), want)
 
 
 class TestSarSocialRepresentation:
