@@ -4,10 +4,13 @@
     python3 scripts/step_faults.py ROOT [WORLD ...]
 
 Imports ``recloop`` from ``ROOT/src`` with BLAS at one thread and runs
-``run`` with master seed 1 and no metric steps, so only the steps are
-measured, on these worlds (all of them by default):
+``run`` with master seed 1 and, but for ``desk-metrics``, no metric steps,
+so only the steps are measured, on these worlds (all of them by default):
 
 - ``desk``: 300 steps of the desk world (n=100, m=1000, c=10, 1000 links);
+- ``desk-metrics``: the same 300 steps with a metric record at every step,
+  the schedule of a 300-step run (``metric_every`` unset), so that the
+  record's cost is the difference to ``desk``;
 - ``desk-dpp``: 50 steps of the desk world under
   ``DiversityRerankHooks(0.501, 1000)``, the dpp re-rank of whole-catalog
   pools;
@@ -34,6 +37,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 DESK = dict(n=100, m=1000, c=10, link_count=1000)
 WORLDS = {"desk": (DESK, 300),
+          "desk-metrics": (DESK, 300),
           "desk-dpp": (DESK, 50),
           "platform-size": (dict(n=5000, m=2000, c=28, link_count=50000), 4),
           "wide": (dict(n=1000, m=10000, c=10, link_count=10000), 4),
@@ -83,11 +87,12 @@ def main(argv) -> int:
             catalog, states, graph = ciao_size_world(recloop, **world)
         else:
             catalog, states, graph = recloop.generate_synthetic(**world, seed=1)
-        recloop.run(states, catalog, graph, params, 1, metric_schedule=[],
+        schedule = None if name == "desk-metrics" else []
+        recloop.run(states, catalog, graph, params, 1, metric_schedule=schedule,
                     hooks=hooks)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
-        recloop.run(states, catalog, graph, params, steps, metric_schedule=[],
+        recloop.run(states, catalog, graph, params, steps, metric_schedule=schedule,
                     hooks=hooks, master_seed=1)
         seconds = time.perf_counter() - start
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults

@@ -50,7 +50,8 @@ import numpy as np
 from .catalog import (ItemCatalog, ItemGroups, ModelParams, SocialGraph, UserStates,
                       group_columns, row_blocks)
 from .errors import InvalidRequest, NumericalError
-from .metrics import MetricSettings, MetricsRecord, compute_metrics_record
+from .metrics import (MetricSettings, MetricsRecord, check_slate_ids,
+                      compute_metrics_record)
 
 FEEDBACK_DOT_CLAMP = 1.0 - 1e-9
 BLOCK_ENTRIES = 1 << 19     # entries of one (block, width) array in simulate_step
@@ -328,6 +329,7 @@ def simulate_step(states: UserStates, catalog: ItemCatalog, graph: SocialGraph,
         if items.shape != (b, h):
             raise InvalidRequest(f"rerank returned shape {items.shape} for users "
                                  f"{lo}..{hi - 1}, expected {(b, h)}")
+        check_slate_ids(items, m)
         slate_items[lo:hi] = items
 
     # Per user, the same gemv as V[:, items].T @ u and V[:, items] @ w.

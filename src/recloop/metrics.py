@@ -8,11 +8,14 @@ The O(n^2) kernels (exact PDV, TS@k and sampled PDV) split their rows, Gram
 blocks or pair blocks into one contiguous range per CPU this process may use
 (``parallel.run_split``), each range on its own thread with scratch the
 caller allocates. Each range writes only its own slice of one output buffer,
-and every row, Gram block and pair keeps the shapes and memory layout of the
-single-threaded loop, so every value is bit for bit what one thread computes,
-whatever the number of CPUs. Small worlds run on the calling thread: exact
-PDV below ``SPLIT_ENTRIES`` entries of the (c, n) matrix, and TS@k or sampled
-PDV with a single block.
+so the split changes no value. Exact PDV takes a range's rows of pairs in
+blocks of about ``PDV_BLOCK_ENTRIES`` differences, one subtract, square and
+reduce per block; every pair is summed in the order of a row-by-row loop,
+whatever the blocks and the number of CPUs. Gram blocks and pair blocks keep
+the shapes and memory layout of the single-threaded loop, so every value is
+bit for bit what one thread computes. Small worlds run on the calling thread:
+exact PDV below ``SPLIT_ENTRIES`` entries of the (c, n) matrix, and TS@k or
+sampled PDV with a single block.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ PDV_DEFAULT_SEED = 1729
 PDV_MODES = ("auto", "exact", "sampled")
 GRAM_ENTRIES = 1 << 22     # entries of one (rows, n) Gram block in ts_at_k
 PAIR_ENTRIES = 1 << 22     # entries of one (c, pairs) block of sampled PDV
+PDV_BLOCK_ENTRIES = 1 << 14   # entries of one (c, rows, k) block of exact PDV
 SPLIT_ENTRIES = 1 << 16    # exact PDV splits its rows from c * n entries on;
                            # narrower rows wait longer for the GIL than they compute
 
@@ -50,6 +54,13 @@ def _entropy_from_counts(counts: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=1)
 
 
+def check_slate_ids(slates: np.ndarray, m: int) -> None:
+    """Raise ``InvalidSlate`` naming the first id (row-major) outside [0, m)."""
+    bad = (slates < 0) | (slates >= m)
+    if bad.any():
+        raise InvalidSlate(f"slate id {slates.flat[bad.argmax()]} outside [0, {m})")
+
+
 def rce(slate_matrix: np.ndarray, catalog: ItemCatalog) -> float:
     """Mean category entropy of all users' slates, with 0*ln(0) := 0.
 
@@ -61,6 +72,7 @@ def rce(slate_matrix: np.ndarray, catalog: ItemCatalog) -> float:
     slates = np.asarray(slate_matrix, dtype=int)
     if slates.ndim != 2 or slates.shape[1] == 0:
         raise InvalidSlate("expected an (n, h) slate matrix with h >= 1")
+    check_slate_ids(slates, catalog.m)
     v2 = catalog.item_vectors ** 2
     counts = v2[:, slates].sum(axis=2).T          # (n, c)
     return float(_entropy_from_counts(counts).mean())
@@ -72,6 +84,7 @@ def ra_with_diagnostics(states, slate_matrix: np.ndarray, catalog: ItemCatalog,
     the threshold, and the count of zero-norm users excluded from it."""
     matrix = _as_matrix(states)
     slates = np.asarray(slate_matrix, dtype=int)
+    check_slate_ids(slates, catalog.m)
     norms = np.linalg.norm(matrix, axis=0)
     keep = norms > 0
     excluded = int((~keep).sum())
@@ -95,24 +108,54 @@ def nd(states, graph: SocialGraph) -> float:
 
 def _pairwise_distances_exact(un: np.ndarray) -> np.ndarray:
     """All i<j distances in lexicographic pair order, matching a nested loop,
-    written row by row into one buffer; from ``SPLIT_ENTRIES`` entries of un
-    on, the rows are split over the CPUs. Each row's (c, n-1-i) differences
-    stay C-ordered, so its columns are summed sequentially, as in a
-    single-threaded loop."""
+    written into one buffer in blocks of rows; from ``SPLIT_ENTRIES`` entries
+    of un on, the blocks are split over the CPUs.
+
+    A block of rows [lo, hi) takes the differences of each row against every
+    later column, k = n-1-lo of them, as one C-ordered (c, rows, k) array of
+    about ``PDV_BLOCK_ENTRIES`` entries (one row at least), squares them and
+    sums them over axis 0. Numpy sums that axis one (rows, k) slice at a time,
+    as it does a single row's (c, k) differences when k >= 2, and block row r
+    keeps columns r..k-1, its pairs. Row n-2, the final pair alone, is always
+    its own block: numpy sums a (c, 1) column pairwise, not in order. So the
+    distances depend on un alone, not on the budget or the number of CPUs.
+    """
     c, n = un.shape
     out = np.empty(n * (n - 1) // 2)
-    starts = [i * (2 * n - i - 1) // 2 for i in range(n)]   # pairs of the rows before i
+    budget = PDV_BLOCK_ENTRIES
+    # Rows whose block would hold one row come first, one block each.
+    row = int(np.count_nonzero(budget // (c * np.arange(n - 1, 1, -1)) <= 1))
+    bounds = list(range(row))
+    while row < n - 2:
+        bounds.append(row)
+        row = min(n - 2, row + budget // (c * (n - 1 - row)))
+    bounds += [n - 2, n - 1]
+    first = np.array(bounds)
+    starts = first * (2 * n - first - 1) // 2       # pairs of the rows before a block
+    offsets = starts.tolist()
 
-    def pair_rows(a, b, buf):
-        for i in range(a, b):
-            k = n - 1 - i
-            diffs = np.subtract(un[:, i + 1:], un[:, i:i + 1], out=buf[:c * k].reshape(c, k))
-            np.add.reduce(np.square(diffs, out=diffs), axis=0, out=out[starts[i]:starts[i + 1]])
-        done = out[starts[a]:starts[b]]
+    def pair_blocks(a, b, bufs):
+        for lo, hi, start, stop in zip(bounds[a:b], bounds[a + 1:b + 1],
+                                       offsets[a:b], offsets[a + 1:b + 1]):
+            k = n - 1 - lo
+            if hi - lo == 1:
+                diffs = np.subtract(un[:, lo + 1:], un[:, lo:hi],
+                                    out=bufs[0][:c * k].reshape(c, k))
+                np.add.reduce(np.square(diffs, out=diffs), axis=0, out=out[start:stop])
+            else:
+                rows = hi - lo
+                diffs = np.subtract(un[:, None, lo + 1:], un[:, lo:hi, None],
+                                    out=bufs[0][:c * rows * k].reshape(c, rows, k))
+                sums = np.add.reduce(np.square(diffs, out=diffs), axis=0,
+                                     out=bufs[1][:rows * k].reshape(rows, k))
+                out[start:stop] = sums[np.arange(k) >= np.arange(rows)[:, None]]
+        done = out[offsets[a]:offsets[b]]
         np.sqrt(done, out=done)
 
     workers = parallel.usable_cpus() if un.size >= SPLIT_ENTRIES else 1
-    parallel.run_split(pair_rows, starts, workers, lambda: np.empty(c * (n - 1)))
+    parallel.run_split(pair_blocks, starts, workers,
+                       lambda: (np.empty(max(budget, c * (n - 1))),
+                                np.empty(budget // c)))
     return out
 
 

@@ -26,7 +26,7 @@ from recloop.dynamics import (
     _group_weights,
     _social_matrix,
 )
-from recloop.errors import InvalidRequest, NumericalError, RecloopError
+from recloop.errors import InvalidRequest, InvalidSlate, NumericalError, RecloopError
 from recloop.mitigation import DiversityRerankHooks, MitigationConfig, build_hooks
 
 from oracles import race
@@ -817,6 +817,23 @@ class TestSimulateStep:
                 return candidate_items[:, :h + 1]
 
         with pytest.raises(InvalidRequest, match="rerank"):
+            simulate_step(states, catalog, graph, ModelParams(h=5), 0, BadHooks())
+
+    @pytest.mark.parametrize("bad", [-1, 20])
+    def test_rerank_ids_outside_catalog_rejected(self, bad):
+        """A slate id outside [0, m) from rerank is named, not read from the
+        end of the catalog or raised as an untyped IndexError."""
+        catalog, graph, states = tiny_world(m=20)
+
+        class BadHooks(StrategyHooks):
+            candidate_count = 8
+
+            def rerank(self, u, candidate_items, catalog, h):
+                items = candidate_items[:, :h].copy()
+                items[-1, 2] = bad
+                return items
+
+        with pytest.raises(InvalidSlate, match=rf"slate id {bad} outside \[0, 20\)"):
             simulate_step(states, catalog, graph, ModelParams(h=5), 0, BadHooks())
 
     def test_candidate_pool_smaller_than_slate_rejected(self):

@@ -63,6 +63,30 @@ class TestCategoryEntropy:
         assert abs(rce(np.array([[0]]), cat) - np.log(2)) <= 1e-12
 
 
+def three_items():
+    return ItemCatalog.from_category_sets([(0,)] * 3, 1)
+
+
+class TestSlateIds:
+    """An id outside [0, m) is rejected by name, not read from the end of the
+    catalog (a negative id) or raised as an untyped IndexError (id >= m)."""
+
+    @pytest.mark.parametrize("slates, bad", [([[-1, 0]], -1), ([[0, 3]], 3),
+                                             ([[0, 1], [2, 7], [-4, 0]], 7)])
+    def test_rce_rejects_out_of_range_ids(self, slates, bad):
+        with pytest.raises(InvalidSlate, match=rf"slate id {bad} outside \[0, 3\)"):
+            rce(np.array(slates), three_items())
+
+    @pytest.mark.parametrize("slates, bad", [([[-1, 0]], -1), ([[0, 3]], 3)])
+    def test_ra_rejects_out_of_range_ids(self, slates, bad):
+        with pytest.raises(InvalidSlate, match=rf"slate id {bad} outside \[0, 3\)"):
+            ra_with_diagnostics(np.ones((1, 1)), np.array(slates), three_items())
+
+    def test_ra_checks_ids_of_zero_norm_users_too(self):
+        with pytest.raises(InvalidSlate, match="slate id -2"):
+            ra_with_diagnostics(np.zeros((1, 1)), np.array([[-2, 0]]), three_items())
+
+
 class TestRce:
     def test_identical_slates_equal_single_entropy(self):
         cat = catalog_ten()
@@ -209,6 +233,43 @@ class TestPdv:
                                              seed=7)
         assert mode == "sampled" and pairs == 400_000
         assert abs(sampled - exact) / exact <= 0.02
+
+
+class TestBlockedExactPdv:
+    """Exact PDV in blocks of rows gives, bit for bit, the row-by-row loop's
+    distances, whatever the block budget and the number of workers."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.integers(1, 40), n=st.integers(2, 60), workers=st.integers(1, 3),
+           data=st.data())
+    def test_any_block_budget_equals_row_loop(self, c, n, workers, data):
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        entries = data.draw(st.integers(1, 2 * c * n), label="entries")
+        rng = np.random.default_rng(seed)
+        users = rng.standard_normal((c, n))
+        twins = rng.random(n) < 0.3
+        users[:, twins] = np.nextafter(users[:, rng.integers(0, n, twins.sum())], np.inf)
+        users[:, rng.random(n) < 0.2] = 0.0
+        un = normalize_columns(users)
+        with mock.patch.object(metrics, "PDV_BLOCK_ENTRIES", entries), \
+                mock.patch.object(metrics, "SPLIT_ENTRIES", 1), \
+                mock.patch.object(parallel, "usable_cpus", lambda: workers):
+            np.testing.assert_array_equal(metrics._pairwise_distances_exact(un),
+                                          pairwise_distances_exact(un))
+
+    def test_final_pair_is_summed_pairwise(self):
+        """At c = 8 numpy sums a lone (c, 1) column pairwise. In this world that
+        rounds the final pair differently from an in-order sum, so a block that
+        took row n-2 in with row n-3 would change its distance."""
+        un = normalize_columns(np.random.default_rng(0).standard_normal((8, 3)))
+        squares = (un[:, 2] - un[:, 1]) ** 2
+        in_order = 0.0
+        for x in squares:
+            in_order += x
+        assert np.sqrt(np.add.reduce(squares)) != np.sqrt(in_order)
+        dists = metrics._pairwise_distances_exact(un)
+        np.testing.assert_array_equal(dists, pairwise_distances_exact(un))
+        assert dists[-1] == np.sqrt(np.add.reduce(squares))
 
 
 class TestTsAtK:
